@@ -21,8 +21,9 @@ pub struct SpConfig {
     pub topology: Topology,
     /// Adapter firmware/DMA parameters.
     pub adapter: AdapterConfig,
-    /// Number of engine shards to run the simulation on (1 = the classic
-    /// serial engine; >= 2 selects [`sp_sim::Sim::run_parallel`]).
+    /// Number of engine shards to run the simulation on (1 = one shard,
+    /// exactly [`sp_sim::Sim::run`]; >= 2 splits the world across
+    /// [`sp_sim::Sim::run_parallel`] shards).
     /// Multi-frame topologies, fault injection, and pre-scheduled world
     /// events all run sharded with results bit-identical to serial; the
     /// one remaining restriction is round-robin routing (the adaptive
@@ -92,9 +93,8 @@ impl SpConfig {
     }
 
     /// The same partition simulated on `shards` engine shards (builder
-    /// style): `SpConfig::thin(8).parallel(4)`. `1` keeps the serial
-    /// engine; see [`SpConfig::parallel`] for the restrictions `>= 2`
-    /// imposes.
+    /// style): `SpConfig::thin(8).parallel(4)`. `1` keeps one shard; see
+    /// [`SpConfig::parallel`] for the restrictions `>= 2` imposes.
     pub fn parallel(mut self, shards: usize) -> Self {
         self.parallel = shards;
         self

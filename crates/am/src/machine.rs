@@ -52,7 +52,8 @@ pub struct AmReport {
     /// Per-shard engine breakdown (empty on a serial run).
     pub shards: Vec<ShardReport>,
     /// Shards requested via [`SpConfig::parallel`] before clamping to the
-    /// node count; compare with `shards.len()` to detect a clamp.
+    /// node count. `shards` is empty on a one-shard run, so a clamp shows
+    /// as `shards_requested > shards.len().max(1)`.
     pub shards_requested: usize,
     /// Synchronization (inter-shard hand-off) events, not counted in
     /// `events` — the parallel engine's overhead stream.
@@ -179,20 +180,15 @@ impl AmMachine {
         }
     }
 
-    /// Run to completion — on the serial engine, or sharded across
-    /// [`SpConfig::parallel`] conservative-parallel shards when that is
-    /// `>= 2`. Multi-frame topologies, fault injection, and
-    /// [`AmMachine::schedule_world_at`] all replay identically under any
-    /// shard count; adaptive routing is the one remaining serial-only
-    /// feature.
+    /// Run to completion on [`SpConfig::parallel`] conservative-parallel
+    /// shards (one shard by default). Multi-frame topologies, fault
+    /// injection, and [`AmMachine::schedule_world_at`] all replay
+    /// identically under any shard count; adaptive routing is the one
+    /// remaining serial-only feature.
     pub fn run(self) -> Result<AmReport, SimError> {
         assert_eq!(self.spawned, self.nodes, "every node needs a program");
         let mem = self.mem;
-        let report = if self.parallel >= 2 {
-            self.sim.run_parallel(self.parallel)?
-        } else {
-            self.sim.run()?
-        };
+        let report = self.sim.run_parallel(self.parallel.max(1))?;
         Ok(AmReport {
             end_time: report.end_time,
             events: report.events,

@@ -413,15 +413,11 @@ impl MplMachine {
         })
     }
 
-    /// Run to completion — sharded across [`SpConfig::parallel`]
-    /// conservative-parallel shards when that is `>= 2`.
+    /// Run to completion on [`SpConfig::parallel`] conservative-parallel
+    /// shards (one shard by default).
     pub fn run(self) -> Result<MplReport, SimError> {
         assert_eq!(self.spawned, self.nodes, "every node needs a program");
-        let report = if self.parallel >= 2 {
-            self.sim.run_parallel(self.parallel)?
-        } else {
-            self.sim.run()?
-        };
+        let report = self.sim.run_parallel(self.parallel.max(1))?;
         Ok(MplReport {
             end_time: report.end_time,
             events: report.events,

@@ -1,17 +1,15 @@
-//! The discrete-event engine: event queue, scheduler state, and the
-//! coordinator loop that alternates between hardware events and node
-//! program time slices.
+//! The discrete-event engine's state: event queue, per-node scheduler
+//! state, event dispatch, the [`Sim`] builder and its [`SimReport`]. The
+//! drive loop that runs it — [`Sim::run`] and [`Sim::run_parallel`] —
+//! lives in the `parallel` module.
 
-use crate::error::SimError;
-use crate::node::{Baton, NodeCtx, ShutdownToken, WakeReason, Yield};
+use crate::node::{NodeCtx, WakeReason};
 use crate::time::{Dur, Time};
 use parking_lot::Mutex;
 use sp_trace::{Kind as TraceKind, Tracer, Track};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Identifier of a node program (dense, `0..num_nodes`, in spawn order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -26,7 +24,7 @@ impl std::fmt::Display for NodeId {
 pub(crate) type WakeEpoch = u64;
 
 /// Boxed engine-side event callback.
-type EventFn<W> = Box<dyn FnOnce(&mut EventCtx<'_, W>) + Send + 'static>;
+pub(crate) type EventFn<W> = Box<dyn FnOnce(&mut EventCtx<'_, W>) + Send + 'static>;
 
 /// Allocation-free engine-side event callback: a plain `fn` pointer plus
 /// two integer arguments (see [`EventCtx::schedule_hot`]).
@@ -178,7 +176,7 @@ impl NodeMeta {
 }
 
 /// Shard-local bookkeeping hung off [`Inner`] when it is one shard of a
-/// parallel run (`None` in serial runs).
+/// run with two or more (`None` in a one-shard run).
 pub(crate) struct ShardSlot {
     /// This shard's index.
     pub(crate) id: usize,
@@ -196,11 +194,12 @@ pub(crate) struct ShardSlot {
     pub(crate) broadcast: bool,
 }
 
-/// Run-wide event budget shared by every shard of a parallel run. Counts
-/// only serial-comparable events (wakes, calls, fast-path advances) — never
-/// `sync_events`, which are pure parallel overhead — so a parallel run trips
-/// [`SimError::EventBudgetExhausted`] at the same event count as its serial
-/// twin instead of `num_shards`× later.
+/// Run-wide event budget shared by every shard of a run. Counts only
+/// serial-comparable events (wakes, calls, fast-path advances) — never
+/// `sync_events`, which are pure parallel overhead — so a sharded run trips
+/// [`SimError::EventBudgetExhausted`](crate::SimError::EventBudgetExhausted)
+/// at the same event count as a one-shard run instead of `num_shards`×
+/// later.
 pub(crate) struct GlobalBudget {
     pub(crate) limit: u64,
     pub(crate) used: std::sync::atomic::AtomicU64,
@@ -244,31 +243,29 @@ pub(crate) struct Inner<W: Send + 'static> {
     /// Events executed so far — engine-loop pops *and* fast-path advances
     /// (each fast advance stands in for exactly one elided Wake event).
     pub(crate) events: u64,
-    /// Parallel-mode synchronization events executed (inter-shard message
-    /// deliveries). Kept out of `events` so serial and parallel runs of the
-    /// same config report identical `events`; the budget covers the sum.
+    /// Synchronization events executed (inter-shard message deliveries).
+    /// Kept out of `events` so one-shard and sharded runs of the same
+    /// config report identical `events`.
     pub(crate) sync_events: u64,
-    /// Budget shared with the fast path so a zero-cost spin loop still trips
-    /// [`SimError::EventBudgetExhausted`] instead of livelocking.
-    pub(crate) budget: u64,
-    /// Run-wide budget of a parallel run, shared by all shards (`None` in
-    /// serial runs, where `budget` alone governs). Charged for
-    /// serial-comparable events only.
-    pub(crate) global_budget: Option<Arc<GlobalBudget>>,
+    /// Run-wide budget, shared by all shards and with the fast path, so a
+    /// zero-cost spin loop still trips
+    /// [`SimError::EventBudgetExhausted`](crate::SimError::EventBudgetExhausted)
+    /// instead of livelocking. Charged for serial-comparable events only.
+    pub(crate) budget: Arc<GlobalBudget>,
     /// Conservative-advance horizon: node fast paths may not move virtual
-    /// time to or past it, and the parallel drive loop only pops events
-    /// strictly before it. `Time::MAX` in serial runs (no constraint).
+    /// time to or past it, and the drive loop only pops events strictly
+    /// before it. `Time::MAX` in a one-shard run (no constraint).
     pub(crate) horizon: Time,
-    /// Present iff this `Inner` is one shard of a parallel run.
+    /// Present iff this `Inner` is one shard of a run with two or more.
     pub(crate) shard: Option<ShardSlot>,
     /// Trace recorder; `None` (the default) keeps every hook down to a
     /// single branch so the fast path stays allocation-free.
     pub(crate) tracer: Option<Tracer>,
 }
 
-/// State shared between the engine thread and node threads. All access is
-/// serialized both by the mutex and, more fundamentally, by the baton
-/// discipline (only one thread executes at a time).
+/// One shard's engine state, shared by the threads that take turns driving
+/// it. All access is serialized both by the mutex and, more fundamentally,
+/// by the baton discipline (one thread per shard executes at a time).
 pub(crate) struct Shared<W: Send + 'static> {
     pub(crate) inner: Mutex<Inner<W>>,
 }
@@ -345,27 +342,23 @@ impl<W: Send + 'static> Shared<W> {
     /// Zero-handoff advance: move virtual time to `until` without yielding
     /// the baton, provided nothing else could possibly run first.
     ///
-    /// While a node program runs, the engine thread is blocked in
-    /// [`Baton::resume`] and this lock is uncontended, so the check is one
-    /// lock acquire instead of two context switches. The fast path applies
-    /// only when (a) no pending event falls at or before `until` (strictly:
-    /// same-time events were pushed with smaller sequence numbers and must
-    /// run before a Wake would), (b) no unpark signal is latched for this
-    /// node, and (c) the event budget is not exhausted — each fast advance
-    /// replaces exactly one Wake event and is charged against the budget.
+    /// While a node program runs it holds its shard's baton, so no other
+    /// thread drives the shard and this lock is uncontended: the check is
+    /// one lock acquire instead of a trip through the drive loop. The fast
+    /// path applies only when (a) no pending event falls at or before
+    /// `until` (strictly: same-time events were pushed with smaller
+    /// sequence numbers and must run before a Wake would), (b) no unpark
+    /// signal is latched for this node, and (c) the event budget is not
+    /// exhausted — each fast advance replaces exactly one Wake event and is
+    /// charged against the budget.
     pub(crate) fn try_fast_advance(&self, id: NodeId, until: Time) -> bool {
         let mut inner = self.inner.lock();
         if inner.nodes[id.0].signal
             || until >= inner.horizon
-            || inner.events + inner.sync_events >= inner.budget
             || inner.sched.queue.peek().is_some_and(|ev| ev.time <= until)
+            || !inner.budget.try_charge()
         {
             return false;
-        }
-        if let Some(g) = &inner.global_budget {
-            if !g.try_charge() {
-                return false;
-            }
         }
         inner.events += 1;
         debug_assert!(until >= inner.now, "fast advance went backwards");
@@ -400,15 +393,10 @@ impl<W: Send + 'static> Shared<W> {
             // Nothing to charge: never yields, never counts an event.
             return (r, until, true);
         }
-        let mut fast = !inner.nodes[id.0].signal
+        let fast = !inner.nodes[id.0].signal
             && until < inner.horizon
-            && inner.events + inner.sync_events < inner.budget
-            && inner.sched.queue.peek().is_none_or(|ev| ev.time > until);
-        if fast {
-            if let Some(g) = &inner.global_budget {
-                fast = g.try_charge();
-            }
-        }
+            && inner.sched.queue.peek().is_none_or(|ev| ev.time > until)
+            && inner.budget.try_charge();
         if fast {
             inner.events += 1;
             if let Some(t) = &inner.tracer {
@@ -650,7 +638,7 @@ pub(crate) fn replay_unpark<W: Send + 'static>(e: &mut EventCtx<'_, W>, target: 
 
 /// Run `f` with the shard's broadcast flag raised (restoring it after), so
 /// unpark suppression and follow-up wrapping apply for the closure's whole
-/// execution. No-op marker in serial runs (no shard slot).
+/// execution. No-op marker in a one-shard run (no shard slot).
 pub(crate) fn broadcast_exec<W: Send + 'static>(
     e: &mut EventCtx<'_, W>,
     f: impl FnOnce(&mut EventCtx<'_, W>),
@@ -666,7 +654,7 @@ pub(crate) fn broadcast_exec<W: Send + 'static>(
 }
 
 /// Shared pre-run world event (see [`Sim::schedule_call_at`]): stored as a
-/// cloneable `Arc<dyn Fn>` so `run_parallel` can pre-load a replica into
+/// cloneable `Arc<dyn Fn>` so a sharded run can pre-load a replica into
 /// every shard's queue.
 pub(crate) type InitialFn<W> = Arc<dyn Fn(&mut EventCtx<'_, W>) + Send + Sync + 'static>;
 
@@ -682,9 +670,8 @@ pub(crate) fn broadcast_kind<W: Send + 'static>(f: InitialFn<W>, primary: bool) 
     }
 }
 
-/// Execute a non-`Wake` event against `inner` at virtual time `at`. Shared
-/// between the serial event loop and the parallel shard drive loop so both
-/// trace and dispatch identically.
+/// Execute a non-`Wake` event against `inner` at virtual time `at` (the
+/// drive loop handles wakes itself).
 pub(crate) fn exec_event<W: Send + 'static>(inner: &mut Inner<W>, at: Time, kind: EvKind<W>) {
     match kind {
         EvKind::Call(f) | EvKind::SyncCall(f) => {
@@ -1070,213 +1057,12 @@ impl<W: Send + 'static> Sim<W> {
         self.programs.push((name.into(), Box::new(program)));
         id
     }
-
-    /// Run to completion: until every node program has returned and the
-    /// event queue is empty.
-    pub fn run(mut self) -> Result<SimReport<W>, SimError> {
-        let started = std::time::Instant::now();
-        let world = self.world.take().expect("world present");
-        let programs = std::mem::take(&mut self.programs);
-        let num_nodes = programs.len();
-
-        let mut sched = Sched::new();
-        for (at, f) in self.initial.drain(..) {
-            sched.push(at, EvKind::call(move |e: &mut EventCtx<'_, W>| f(e)));
-        }
-        let mut nodes = Vec::with_capacity(num_nodes);
-        for (i, (name, _)) in programs.iter().enumerate() {
-            nodes.push(NodeMeta::new(name.clone()));
-            sched.push(
-                Time::ZERO,
-                EvKind::Wake {
-                    node: NodeId(i),
-                    epoch: 0,
-                    reason: WakeReason::Timeout,
-                },
-            );
-        }
-        let shared = Arc::new(Shared {
-            inner: Mutex::new(Inner {
-                world,
-                now: Time::ZERO,
-                sched,
-                nodes,
-                events: 0,
-                sync_events: 0,
-                budget: self.event_budget,
-                global_budget: None,
-                horizon: Time::MAX,
-                shard: None,
-                tracer: self.tracer.take(),
-            }),
-        });
-
-        let mut batons: Vec<Arc<Baton>> = Vec::with_capacity(num_nodes);
-        let mut handles: Vec<JoinHandle<()>> = Vec::with_capacity(num_nodes);
-        for (i, (name, program)) in programs.into_iter().enumerate() {
-            let baton = Baton::new();
-            batons.push(baton.clone());
-            let shared = shared.clone();
-            let seed = self.seed;
-            let handle = std::thread::Builder::new()
-                .name(format!("sp-sim-node-{i}-{name}"))
-                .spawn(move || {
-                    let mut ctx =
-                        NodeCtx::new(NodeId(i), num_nodes, seed, shared.clone(), baton.clone());
-                    let (t0, _) = baton.wait_for_start();
-                    ctx.now = t0;
-                    match catch_unwind(AssertUnwindSafe(|| program(&mut ctx))) {
-                        Ok(()) => {
-                            shared.note_done(NodeId(i));
-                            baton.finish(Yield::Done);
-                        }
-                        Err(payload) => {
-                            if payload.is::<ShutdownToken>() {
-                                return; // orderly teardown
-                            }
-                            let msg = payload
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "<non-string panic payload>".to_string());
-                            shared.note_done(NodeId(i));
-                            baton.finish(Yield::Panicked(msg));
-                        }
-                    }
-                })
-                .expect("spawn node thread");
-            handles.push(handle);
-        }
-
-        let result = Self::event_loop(&shared, &batons);
-
-        // Teardown: unwind any node thread still blocked on its baton.
-        {
-            let inner = shared.inner.lock();
-            for (i, meta) in inner.nodes.iter().enumerate() {
-                if meta.state != NState::Done {
-                    batons[i].exit();
-                }
-            }
-        }
-        for handle in handles {
-            let _ = handle.join();
-        }
-
-        let (end_time, events) = result?;
-        let inner = Arc::try_unwrap(shared)
-            .unwrap_or_else(|_| panic!("node threads still hold engine state"))
-            .inner
-            .into_inner();
-        let wakes_coalesced: u64 = inner.nodes.iter().map(|m| m.coalesced).sum();
-        let wall = started.elapsed();
-        stats::record(events, wakes_coalesced, wall);
-        Ok(SimReport {
-            world: inner.world,
-            end_time,
-            events,
-            wakes_coalesced,
-            shards: Vec::new(),
-            shards_requested: 0,
-            sync_events: 0,
-            windows: 0,
-            cross_unparks: 0,
-            profile: None,
-            wall,
-        })
-    }
-
-    /// Core loop. Returns `(end_time, events_executed)`.
-    fn event_loop(shared: &Arc<Shared<W>>, batons: &[Arc<Baton>]) -> Result<(Time, u64), SimError> {
-        let mut inner = shared.inner.lock();
-        loop {
-            let ev = match inner.sched.queue.pop() {
-                Some(ev) => ev,
-                None => break,
-            };
-            inner.events += 1;
-            if inner.events + inner.sync_events > inner.budget {
-                let (at, budget) = (inner.now, inner.budget);
-                drop(inner);
-                return Err(SimError::EventBudgetExhausted { at, budget });
-            }
-            debug_assert!(ev.time >= inner.now, "event queue went backwards");
-            inner.now = ev.time;
-            match ev.kind {
-                EvKind::Wake {
-                    node,
-                    epoch,
-                    reason,
-                } => {
-                    let meta = &mut inner.nodes[node.0];
-                    let runnable = meta.epoch == epoch
-                        && matches!(
-                            meta.state,
-                            NState::Startup | NState::Sleeping | NState::Parked | NState::SleepInt
-                        );
-                    if !runnable {
-                        continue; // stale wake
-                    }
-                    meta.epoch += 1;
-                    meta.state = NState::Running;
-                    // The queued unpark (if any) is consumed by this wake;
-                    // later unparks must queue a fresh event.
-                    meta.unpark_queued = false;
-                    if let Some(t) = &inner.tracer {
-                        t.instant(
-                            ev.time.as_ns(),
-                            Track::program(node.0),
-                            TraceKind::EngineWake,
-                            matches!(reason, WakeReason::Unparked) as u64,
-                        );
-                    }
-                    drop(inner);
-                    let y = batons[node.0].resume(ev.time, reason);
-                    match y {
-                        Yield::Sleep { .. }
-                        | Yield::Park
-                        | Yield::ParkTimeout { .. }
-                        | Yield::Done => {
-                            // Node-side note_* already recorded scheduler
-                            // state before yielding; nothing further to do.
-                        }
-                        Yield::Panicked(message) => {
-                            let name = shared.inner.lock().nodes[node.0].name.clone();
-                            return Err(SimError::NodePanicked {
-                                node: name,
-                                message,
-                            });
-                        }
-                    }
-                    inner = shared.inner.lock();
-                }
-                kind => exec_event(&mut inner, ev.time, kind),
-            }
-        }
-
-        // Queue drained: every program must have finished.
-        let stuck: Vec<String> = inner
-            .nodes
-            .iter()
-            .filter(|m| m.state != NState::Done)
-            .map(|m| m.name.clone())
-            .collect();
-        let (now, events) = (inner.now, inner.events);
-        drop(inner);
-        if stuck.is_empty() {
-            Ok((now, events))
-        } else {
-            Err(SimError::Deadlock {
-                at: now,
-                parked: stuck,
-            })
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimError;
 
     #[test]
     fn empty_sim_completes() {

@@ -11,15 +11,20 @@
 //! A [`Sim`] owns a *world* (the mutable hardware state — switch, adapters,
 //! …; any `W: Send`), an event queue ordered by virtual [`Time`], and a set
 //! of *node programs*. Each node program is an ordinary Rust closure running
-//! on its own OS thread, but **exactly one thread executes at any instant**:
-//! a node hands control back to the engine whenever it charges virtual time
-//! ([`NodeCtx::advance`]) or blocks ([`NodeCtx::park`]). Events are executed
-//! in `(time, insertion-sequence)` order, so every run is bit-deterministic
+//! on its own OS thread, but **exactly one thread executes at any instant**
+//! (per shard): a node that charges virtual time ([`NodeCtx::advance`]) or
+//! blocks ([`NodeCtx::park`]) yields by driving the event queue itself until
+//! its own wake comes up or it hands the baton to the next node to run.
+//! There is no engine thread. Events are executed in
+//! `(time, insertion-sequence)` order, so every run is bit-deterministic
 //! regardless of OS scheduling.
 //!
 //! This "thread-backed coroutine" style lets protocol and benchmark code be
 //! written as straight-line blocking Rust — exactly the shape of the C code
 //! the paper describes — while the engine remains a simple binary-heap DES.
+//! [`Sim::run`] drives one shard; [`Sim::run_parallel`] splits a
+//! [`Shardable`] world across several, synchronized in conservative
+//! lookahead windows, with the same drive loop.
 //!
 //! ## Example
 //!

@@ -1,12 +1,16 @@
 //! Node programs: the baton handshake and the [`NodeCtx`] API they program
 //! against.
 //!
-//! Each simulated node's program runs on a dedicated OS thread, but the
-//! engine and the node threads pass a *baton* back and forth so that exactly
-//! one of them executes at any moment. The handshake is a tiny state machine
-//! guarded by a `parking_lot` mutex/condvar pair per node.
+//! Each simulated node's program runs on a dedicated OS thread, and exactly
+//! one thread per shard executes at any moment. There is no engine thread:
+//! a node that yields becomes its shard's driver (see the `parallel`
+//! module), popping events until its own wake surfaces — it then resumes
+//! with no context switch — or until it grants another node's baton and
+//! blocks on its own. A baton is a tiny state machine guarded by a
+//! `parking_lot` mutex/condvar pair per node.
 
 use crate::engine::{EvKind, NodeId, Shared};
+use crate::parallel::Core;
 use crate::time::{Dur, Time};
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::SmallRng;
@@ -23,49 +27,21 @@ pub enum WakeReason {
     Unparked,
 }
 
-/// What a node program hands back to the engine when it yields.
-///
-/// The `until` fields exist for `Debug` diagnostics; scheduling state is
-/// recorded by the node-side `note_*` calls before the yield, so the engine
-/// itself never reads them.
-#[derive(Debug)]
-#[allow(dead_code)]
-pub(crate) enum Yield {
-    /// Charge virtual time: wake unconditionally at `until`. Unparks that
-    /// arrive while sleeping are latched as a pending signal.
-    Sleep {
-        /// Absolute wake time.
-        until: Time,
-    },
-    /// Block until some event unparks this node.
-    Park,
-    /// Block until unparked or until `until`, whichever comes first.
-    ParkTimeout {
-        /// Absolute timeout instant.
-        until: Time,
-    },
-    /// The program returned normally.
-    Done,
-    /// The program panicked; payload is the stringified panic message.
-    Panicked(String),
-}
-
 /// Baton slot contents.
 enum Slot {
-    /// Neither side has anything for the other (engine owns the baton).
+    /// The node does not hold the baton.
     Idle,
-    /// Engine granted the node the right to run, at virtual time `at`.
+    /// A driver granted the node the right to run, at virtual time `at`.
     Run { at: Time, reason: WakeReason },
-    /// Engine is tearing the simulation down; the node thread must exit.
+    /// The run is being torn down; the node thread must exit.
     Exit,
-    /// Node handed control back to the engine.
-    Yielded(Yield),
 }
 
 /// Panic payload used to unwind a node thread during teardown.
 pub(crate) struct ShutdownToken;
 
-/// One node's half-duplex rendezvous channel with the engine.
+/// One node's run permission: granted by whichever thread drives the
+/// node's shard, waited on by the node thread.
 pub(crate) struct Baton {
     slot: Mutex<Slot>,
     cv: Condvar,
@@ -79,43 +55,29 @@ impl Baton {
         })
     }
 
-    /// Engine side: hand the baton to the node and block until it yields.
-    pub(crate) fn resume(&self, at: Time, reason: WakeReason) -> Yield {
-        let mut slot = self.slot.lock();
-        debug_assert!(matches!(*slot, Slot::Idle), "resume: baton not idle");
-        *slot = Slot::Run { at, reason };
-        self.cv.notify_one();
-        loop {
-            match &*slot {
-                Slot::Yielded(_) => break,
-                _ => self.cv.wait(&mut slot),
-            }
-        }
-        match std::mem::replace(&mut *slot, Slot::Idle) {
-            Slot::Yielded(y) => y,
-            _ => unreachable!(),
-        }
-    }
-
-    /// Engine side: tell a blocked node thread to unwind and exit.
+    /// Teardown: tell a blocked node thread to unwind and exit.
     pub(crate) fn exit(&self) {
         let mut slot = self.slot.lock();
         *slot = Slot::Exit;
         self.cv.notify_one();
     }
 
-    /// Parallel-mode: grant the baton to a node *without* blocking for its
-    /// yield (the granting thread is another node thread that continues as
-    /// the shard's driver or goes to sleep itself). The target must be idle.
+    /// Grant the baton to a node without blocking (the granting thread is
+    /// a driver, which then waits for its own turn or for the run to end).
+    /// The target must be idle, unless teardown already told it to exit:
+    /// that `Exit` wins, so a grant racing a failure on another shard
+    /// cannot strand the node past the join.
     pub(crate) fn grant(&self, at: Time, reason: WakeReason) {
         let mut slot = self.slot.lock();
+        if matches!(*slot, Slot::Exit) {
+            return;
+        }
         debug_assert!(matches!(*slot, Slot::Idle), "grant: baton not idle");
         *slot = Slot::Run { at, reason };
         self.cv.notify_one();
     }
 
-    /// Parallel-mode: give the baton back without publishing a yield (the
-    /// yield was already consumed by the shard drive loop). Only replaces a
+    /// Give the baton back before driving the shard. Only replaces a
     /// `Run`; a concurrent teardown `Exit` is preserved so the thread still
     /// unwinds at its next wait.
     pub(crate) fn release(&self) {
@@ -125,34 +87,7 @@ impl Baton {
         }
     }
 
-    /// Node side: wait for the first `Run` grant (program start).
-    pub(crate) fn wait_for_start(&self) -> (Time, WakeReason) {
-        self.wait_for_run()
-    }
-
-    /// Node side: publish `y` and block until the engine grants `Run` again.
-    /// `Done`/`Panicked` yields never resume; callers must not wait after
-    /// publishing them (see [`Baton::finish`]).
-    fn yield_and_wait(&self, y: Yield) -> (Time, WakeReason) {
-        {
-            let mut slot = self.slot.lock();
-            debug_assert!(
-                matches!(*slot, Slot::Run { .. }),
-                "yield: node does not hold baton"
-            );
-            *slot = Slot::Yielded(y);
-            self.cv.notify_one();
-        }
-        self.wait_for_run()
-    }
-
-    /// Node side: publish a terminal yield (`Done`/`Panicked`) and return.
-    pub(crate) fn finish(&self, y: Yield) {
-        let mut slot = self.slot.lock();
-        *slot = Slot::Yielded(y);
-        self.cv.notify_one();
-    }
-
+    /// Node side: block until granted `Run`; unwind on `Exit`.
     pub(crate) fn wait_for_run(&self) -> (Time, WakeReason) {
         let mut slot = self.slot.lock();
         loop {
@@ -167,13 +102,13 @@ impl Baton {
                     drop(slot);
                     std::panic::resume_unwind(Box::new(ShutdownToken));
                 }
-                _ => self.cv.wait(&mut slot),
+                Slot::Idle => self.cv.wait(&mut slot),
             }
         }
     }
 }
 
-/// What one step of a parallel shard's drive loop produced.
+/// What one call of a shard's drive loop produced.
 pub(crate) enum Drive {
     /// The driving node's own wake came up while it was driving: it resumes
     /// running directly, with zero baton hand-offs.
@@ -187,16 +122,6 @@ pub(crate) enum Drive {
     Shutdown,
 }
 
-/// Parallel-mode hook: lets a yielding node thread *keep executing the shard
-/// event loop* instead of handing off to a dedicated engine thread. Erased
-/// to a trait object so [`NodeCtx`] stays `W: Send` while the concrete
-/// driver requires the world to be shardable.
-pub(crate) trait ShardDriver<W: Send + 'static>: Send + Sync {
-    /// Drive the owning shard until `me` (when given) is woken — returning
-    /// [`Drive::SelfRun`] — or the baton moves elsewhere.
-    fn drive(&self, me: Option<NodeId>) -> Drive;
-}
-
 /// Handle through which a node program interacts with the simulation.
 ///
 /// A `NodeCtx` is handed (by mutable reference) to the node program closure.
@@ -208,11 +133,10 @@ pub struct NodeCtx<W: Send + 'static> {
     pub(crate) num_nodes: usize,
     pub(crate) now: Time,
     pub(crate) shared: Arc<Shared<W>>,
-    pub(crate) baton: Arc<Baton>,
     pub(crate) rng: SmallRng,
-    /// Set only in parallel runs: yields become "release the baton and keep
-    /// driving the shard" instead of a hand-off to the engine thread.
-    pub(crate) driver: Option<Arc<dyn ShardDriver<W>>>,
+    /// The run this node belongs to and the shard it drives on yield.
+    pub(crate) core: Arc<Core<W>>,
+    pub(crate) shard: usize,
 }
 
 impl<W: Send + 'static> NodeCtx<W> {
@@ -220,8 +144,8 @@ impl<W: Send + 'static> NodeCtx<W> {
         id: NodeId,
         num_nodes: usize,
         seed: u64,
-        shared: Arc<Shared<W>>,
-        baton: Arc<Baton>,
+        core: Arc<Core<W>>,
+        shard: usize,
     ) -> Self {
         // Mix the node id into the master seed so per-node streams differ.
         let node_seed = seed ^ (id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -229,28 +153,22 @@ impl<W: Send + 'static> NodeCtx<W> {
             id,
             num_nodes,
             now: Time::ZERO,
-            shared,
-            baton,
+            shared: core.shards[shard].clone(),
             rng: SmallRng::seed_from_u64(node_seed),
-            driver: None,
+            core,
+            shard,
         }
     }
 
-    /// Yield to whatever runs this node's shard. Serial: publish the yield
-    /// and block for the engine thread (two context switches). Parallel:
-    /// release the baton and *become* the shard's driver — if this node's
-    /// own wake surfaces while driving, it resumes with zero switches.
-    fn yield_to_engine(&mut self, y: Yield) -> (Time, WakeReason) {
-        match &self.driver {
-            None => self.baton.yield_and_wait(y),
-            Some(driver) => {
-                let driver = driver.clone();
-                self.baton.release();
-                match driver.drive(Some(self.id)) {
-                    Drive::SelfRun(t, reason) => (t, reason),
-                    Drive::Handed | Drive::Shutdown => self.baton.wait_for_run(),
-                }
-            }
+    /// Yield: release the baton and *become* the shard's driver. If this
+    /// node's own wake surfaces while driving, it resumes with zero context
+    /// switches; otherwise it granted another node and waits for its turn.
+    fn yield_and_drive(&mut self) -> (Time, WakeReason) {
+        let baton = &self.core.batons[self.id.0];
+        baton.release();
+        match self.core.drive(self.shard, Some(self.id)) {
+            Drive::SelfRun(t, reason) => (t, reason),
+            Drive::Handed | Drive::Shutdown => baton.wait_for_run(),
         }
     }
 
@@ -285,7 +203,7 @@ impl<W: Send + 'static> NodeCtx<W> {
     ///
     /// When nothing else could run inside the span — no pending event at or
     /// before `now + d`, no latched unpark — the clock moves under a single
-    /// uncontended lock acquire without handing the baton to the engine
+    /// uncontended lock acquire without driving the shard at all
     /// (see `Shared::try_fast_advance`); virtual-time behavior is identical
     /// either way.
     pub fn advance(&mut self, d: Dur) {
@@ -295,7 +213,7 @@ impl<W: Send + 'static> NodeCtx<W> {
             return;
         }
         self.shared.note_sleep(self.id, until);
-        let (t, _) = self.yield_to_engine(Yield::Sleep { until });
+        let (t, _) = self.yield_and_drive();
         debug_assert_eq!(t, until);
         self.now = t;
     }
@@ -312,7 +230,7 @@ impl<W: Send + 'static> NodeCtx<W> {
             return r;
         }
         self.shared.note_sleep(self.id, until);
-        let (t, _) = self.yield_to_engine(Yield::Sleep { until });
+        let (t, _) = self.yield_and_drive();
         debug_assert_eq!(t, until);
         self.now = t;
         r
@@ -326,7 +244,7 @@ impl<W: Send + 'static> NodeCtx<W> {
             return WakeReason::Unparked;
         }
         self.shared.note_park(self.id, None);
-        let (t, reason) = self.yield_to_engine(Yield::Park);
+        let (t, reason) = self.yield_and_drive();
         self.now = t;
         reason
     }
@@ -351,7 +269,7 @@ impl<W: Send + 'static> NodeCtx<W> {
             return WakeReason::Timeout;
         }
         self.shared.note_park(self.id, Some(until));
-        let (t, reason) = self.yield_to_engine(Yield::ParkTimeout { until });
+        let (t, reason) = self.yield_and_drive();
         self.now = t;
         reason
     }

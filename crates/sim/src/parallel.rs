@@ -1,64 +1,67 @@
-//! Sharded conservative-parallel execution: [`Sim::run_parallel`].
+//! The drive loop: [`Sim::run`] and [`Sim::run_parallel`].
 //!
-//! ## Model
+//! ## Who drives a shard?
 //!
-//! Nodes are partitioned into `num_shards` *shards* by a block map
-//! (`owner[i] = i * num_shards / num_nodes`). Each shard owns a private
-//! event heap, local clock, and world slice (see [`Shardable::split`]); the
-//! existing zero-handoff fast advance remains the intra-shard hot path.
-//! Shards advance conservatively in *lookahead windows*: with `M` the
-//! global minimum pending-event time and `L` the world's lookahead
-//! ([`Shardable::lookahead`] — for the SP world, the minimum latency any
-//! cross-node interaction must incur), every shard may freely execute
-//! events and fast-advance node clocks strictly below the horizon
-//! `M + L`. Anything a shard does inside the window can only affect other
-//! shards at or after the horizon, so no shard can receive a message "from
-//! the past" — the classic null-message/conservative PDES argument, with
-//! the per-window barrier standing in for per-link null messages.
+//! There is no engine thread. A run partitions its nodes into *shards*,
+//! each with a private event heap, local clock and world slice; [`Sim::run`]
+//! is the one-shard case. The node threads of a shard pass a *driving* role
+//! cooperatively: whenever a node yields (sleep/park), it releases its
+//! baton and becomes the shard's driver, popping events and granting
+//! batons until either its own wake surfaces — it resumes with zero context
+//! switches ([`Drive::SelfRun`]) — or it grants another node and waits for
+//! its own next grant (one switch). This keeps the
+//! single-runner-per-shard discipline that makes world access
+//! data-race-free. A node whose program returns keeps driving until it
+//! hands the role on. A one-shard run has an unbounded horizon, so it ends
+//! when its queue drains; the calling thread only drives up to the first
+//! wake, then waits.
+//!
+//! ## Sharded runs
+//!
+//! [`Sim::run_parallel`] partitions nodes into `num_shards` shards by a
+//! block map (`owner[i] = i * num_shards / num_nodes`) and splits the world
+//! ([`Shardable::split`]); the zero-handoff fast advance remains the
+//! intra-shard hot path. Shards advance conservatively in *lookahead
+//! windows*: with `M` the global minimum pending-event time and `L` the
+//! world's lookahead ([`Shardable::lookahead`] — for the SP world, the
+//! minimum latency any cross-node interaction must incur), every shard may
+//! freely execute events and fast-advance node clocks strictly below the
+//! horizon `M + L`. Anything a shard does inside the window can only affect
+//! other shards at or after the horizon, so no shard can receive a message
+//! "from the past" — the classic null-message/conservative PDES argument,
+//! with the per-window barrier standing in for per-link null messages.
 //!
 //! Cross-shard interactions are timestamped [`ShardMsg`]s: generated inside
 //! a window, collected at the next barrier ([`Shardable::take_messages`]),
 //! and applied on the destination shard as `sync` events
 //! ([`Shardable::apply_msg`]) ordered by `(timestamp, source sequence,
-//! source shard)` — the world-provided sequence stamp reproduces the serial
-//! run's same-nanosecond event order across shards.
+//! source shard)` — the world-provided sequence stamp reproduces the
+//! one-shard run's same-nanosecond event order across shards.
 //! Sync events are charged to a separate `sync_events` counter so a
-//! parallel run reports the *same* `events` as its serial twin and the
+//! sharded run reports the *same* `events` as its one-shard twin and the
 //! synchronization overhead stays observable ([`SimReport::sync_events`],
 //! [`SimReport::windows`]).
 //!
-//! ## Who drives a shard?
-//!
-//! There is no per-shard engine thread. The node threads of a shard pass a
-//! *driving* role cooperatively: whenever a node yields (sleep/park), it
-//! releases its baton and becomes the shard's driver, popping events and
-//! granting batons until either its own wake surfaces (it resumes with zero
-//! context switches — [`Drive::SelfRun`]) or it grants another node and
-//! parks itself. This keeps the single-runner-per-shard discipline that
-//! makes world access data-race-free, while cutting the two context
-//! switches per yield that the serial engine thread costs.
-//!
 //! ## Determinism
 //!
-//! Within a shard, execution is the serial engine verbatim: events in
-//! `(time, seq)` order. Across shards, every hand-off is timestamped and
-//! applied in `(timestamp, source sequence, source shard)` order at a
-//! barrier whose placement depends only on virtual time — never on OS
-//! scheduling. Runs are therefore
-//! reproducible for a fixed `(config, seed, num_shards)`, and for workloads
-//! whose cross-shard interactions are the world's own hand-offs (packets),
-//! end time, event count, and world state match the serial run exactly —
+//! Within a shard, events run in `(time, seq)` order. Across shards, every
+//! hand-off is timestamped and applied in `(timestamp, source sequence,
+//! source shard)` order at a barrier whose placement depends only on
+//! virtual time — never on OS scheduling. Runs are therefore reproducible
+//! for a fixed `(config, seed, num_shards)`, and for workloads whose
+//! cross-shard interactions are the world's own hand-offs (packets), end
+//! time, event count, and world state match the one-shard run exactly —
 //! see `tests/parallel.rs` and the proptest equivalence suite.
 
 use crate::engine::{
-    exec_event, stats, EvKind, EventCtx, Inner, NState, NodeId, NodeMeta, Sched, ShardProfile,
-    ShardReport, ShardSlot, Shared, Sim, SimReport,
+    broadcast_kind, exec_event, stats, EvKind, EventCtx, EventFn, GlobalBudget, Inner, NState,
+    NodeId, NodeMeta, Sched, ShardProfile, ShardReport, ShardSlot, Shared, Sim, SimReport,
 };
 use crate::error::SimError;
-use crate::node::{Baton, Drive, NodeCtx, ShardDriver, ShutdownToken, WakeReason};
+use crate::node::{Baton, Drive, NodeCtx, ShutdownToken, WakeReason};
 use crate::time::{Dur, Time};
 use parking_lot::{Condvar, Mutex};
-use sp_trace::{Kind as TraceKind, Track};
+use sp_trace::{Kind as TraceKind, Tracer, Track};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -139,7 +142,7 @@ impl Shardable for () {
 /// One shard's state snapshot taken at barrier arrival, used to profile
 /// the window that just ended. All virtual-time quantities, so profiles
 /// are deterministic.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Arrive {
     /// The shard's local clock when it exhausted the window.
     now: Time,
@@ -149,21 +152,32 @@ struct Arrive {
     heap: usize,
 }
 
-impl Default for Arrive {
-    fn default() -> Self {
-        Arrive {
-            now: Time::ZERO,
-            counts: 0,
-            heap: 0,
-        }
-    }
+/// Inbound cross-shard message, ready to queue: `(src_shard, ts, seq,
+/// apply)`.
+type Inbound<W> = (usize, Time, u64, EventFn<W>);
+
+/// Drains a world slice's outbound messages at a window barrier, each
+/// turned into the sync event that applies it on the destination shard.
+type Outbox<W> = fn(&mut W) -> Vec<ShardMsg<EventFn<W>>>;
+
+fn drain_outbox<W: Shardable>(w: &mut W) -> Vec<ShardMsg<EventFn<W>>> {
+    w.take_messages()
+        .into_iter()
+        .map(|m| {
+            let msg = m.msg;
+            let apply: EventFn<W> = Box::new(move |e| W::apply_msg(e, msg));
+            ShardMsg {
+                ts: m.ts,
+                seq: m.seq,
+                dst_shard: m.dst_shard,
+                msg: apply,
+            }
+        })
+        .collect()
 }
 
-/// Inbound cross-shard message: `(src_shard, ts, seq, msg)`.
-type Inbound<W> = (usize, Time, u64, <W as Shardable>::Msg);
-
-/// Barrier / completion state shared by all shards of one parallel run.
-struct GState<W: Shardable> {
+/// Barrier / completion state shared by all shards of one run.
+struct GState<W: Send + 'static> {
     /// Per-destination-shard inbound messages.
     inbox: Vec<Vec<Inbound<W>>>,
     /// Per-destination-shard deferred cross-shard unparks:
@@ -195,38 +209,64 @@ struct GState<W: Shardable> {
     prev_counts: Vec<u64>,
     /// Sum of closed windows' widths, virtual ns.
     window_ns: u64,
-    /// All queues drained (clean completion).
-    finished: bool,
     /// First error raised by any shard (budget, panic).
     failed: Option<SimError>,
     /// Run must stop (finished or failed).
     stop: bool,
 }
 
-/// Everything the shard drive loops share: the per-shard engines, every
-/// node's baton, the ownership map, and the barrier.
-struct SyncCore<W: Shardable> {
-    shards: Vec<Arc<Shared<W>>>,
-    batons: Vec<Arc<Baton>>,
+impl<W: Send + 'static> GState<W> {
+    fn new(num_shards: usize) -> Self {
+        GState {
+            inbox: (0..num_shards).map(|_| Vec::new()).collect(),
+            unparks: (0..num_shards).map(|_| Vec::new()).collect(),
+            next: vec![None; num_shards],
+            arrived: 0,
+            round: 0,
+            windows: 0,
+            cross_unparks: 0,
+            window_start: Time::ZERO,
+            window_horizon: Time::ZERO,
+            arrive: vec![Arrive::default(); num_shards],
+            busy_ns: vec![0; num_shards],
+            active_windows: vec![0; num_shards],
+            prev_counts: vec![0; num_shards],
+            window_ns: 0,
+            failed: None,
+            stop: false,
+        }
+    }
+}
+
+/// Everything the drive loops of one run share: the per-shard engines,
+/// every node's baton, the ownership map, and the barrier.
+pub(crate) struct Core<W: Send + 'static> {
+    pub(crate) shards: Vec<Arc<Shared<W>>>,
+    pub(crate) batons: Vec<Arc<Baton>>,
     owner: Arc<Vec<usize>>,
     lookahead: Dur,
-    num_shards: usize,
+    outbox: Outbox<W>,
     state: Mutex<GState<W>>,
     cv: Condvar,
     /// Mirror of `GState::stop` readable without the state lock (drive
     /// loops hold their shard lock and must not take the state lock).
     stopped: AtomicBool,
-    tracer: Option<sp_trace::Tracer>,
+    tracer: Option<Tracer>,
 }
 
-impl<W: Shardable> SyncCore<W> {
-    /// Record a fatal error and release everyone. Callers must not hold any
-    /// shard's inner lock.
-    fn fail(&self, err: SimError) {
+impl<W: Send + 'static> Core<W> {
+    /// End the run — with `err` as its failure unless an earlier one was
+    /// recorded — and release everyone. Callers must not hold any shard's
+    /// inner lock.
+    fn halt(&self, err: Option<SimError>) {
         let mut st = self.state.lock();
         if st.failed.is_none() {
-            st.failed = Some(err);
+            st.failed = err;
         }
+        self.stop(&mut st);
+    }
+
+    fn stop(&self, st: &mut GState<W>) {
         st.stop = true;
         self.stopped.store(true, Ordering::Release);
         self.cv.notify_all();
@@ -253,7 +293,7 @@ impl<W: Shardable> SyncCore<W> {
         };
         let width = end.as_ns().saturating_sub(start.as_ns());
         st.window_ns = st.window_ns.saturating_add(width);
-        for sid in 0..self.num_shards {
+        for sid in 0..self.shards.len() {
             let a = st.arrive[sid];
             let busy = a.now.as_ns().saturating_sub(start.as_ns()).min(width);
             st.busy_ns[sid] += busy;
@@ -286,7 +326,7 @@ impl<W: Shardable> SyncCore<W> {
     fn barrier(
         &self,
         sid: usize,
-        msgs: Vec<ShardMsg<W::Msg>>,
+        msgs: Vec<ShardMsg<EventFn<W>>>,
         unparks: Vec<(NodeId, Time)>,
         next: Option<Time>,
         arrive: Arrive,
@@ -296,7 +336,7 @@ impl<W: Shardable> SyncCore<W> {
             return false;
         }
         for m in msgs {
-            debug_assert!(m.dst_shard < self.num_shards);
+            debug_assert!(m.dst_shard < self.shards.len());
             st.inbox[m.dst_shard].push((sid, m.ts, m.seq, m.msg));
         }
         for (node, t) in unparks {
@@ -305,7 +345,7 @@ impl<W: Shardable> SyncCore<W> {
         st.next[sid] = next;
         st.arrive[sid] = arrive;
         st.arrived += 1;
-        if st.arrived < self.num_shards {
+        if st.arrived < self.shards.len() {
             let round = st.round;
             while st.round == round && !st.stop {
                 self.cv.wait(&mut st);
@@ -319,7 +359,7 @@ impl<W: Shardable> SyncCore<W> {
         // barrier (in `cv.wait`, without its inner).
         st.arrived = 0;
         self.finalize_window(&mut st);
-        for dst in 0..self.num_shards {
+        for dst in 0..self.shards.len() {
             let mut msgs = std::mem::take(&mut st.inbox[dst]);
             let mut unparks = std::mem::take(&mut st.unparks[dst]);
             if msgs.is_empty() && unparks.is_empty() {
@@ -334,11 +374,8 @@ impl<W: Shardable> SyncCore<W> {
             msgs.sort_by_key(|(src, ts, seq, _)| (*ts, *seq, *src));
             unparks.sort_by_key(|(node, t, src)| (*t, *src, node.0));
             let inner = &mut *self.shards[dst].inner.lock();
-            for (_src, ts, _seq, msg) in msgs {
-                let at = ts.max(inner.now);
-                inner
-                    .sched
-                    .push(at, EvKind::sync_call(move |e| W::apply_msg(e, msg)));
+            for (_src, ts, _seq, apply) in msgs {
+                inner.sched.push(ts.max(inner.now), EvKind::SyncCall(apply));
             }
             for (node, t, _src) in unparks {
                 st.cross_unparks += 1;
@@ -362,11 +399,8 @@ impl<W: Shardable> SyncCore<W> {
         match m {
             None => {
                 // Every queue drained and no traffic in flight: done.
-                st.finished = true;
-                st.stop = true;
-                self.stopped.store(true, Ordering::Release);
                 st.round += 1;
-                self.cv.notify_all();
+                self.stop(&mut st);
                 false
             }
             Some(m) => {
@@ -388,21 +422,28 @@ impl<W: Shardable> SyncCore<W> {
     }
 
     /// One shard's event loop: pop-and-execute below the horizon, grant
-    /// batons to woken nodes, arrive at the barrier when the window is
-    /// exhausted. Returns when the baton moved to another node
-    /// ([`Drive::Handed`]), the caller's own wake surfaced
-    /// ([`Drive::SelfRun`]), or the run ended ([`Drive::Shutdown`]).
-    fn drive(&self, sid: usize, me: Option<NodeId>) -> Drive {
+    /// batons to woken nodes, and when the window is exhausted arrive at the
+    /// barrier (sharded) or end the run (one shard: the queue is empty).
+    /// Returns when the baton moved to another node ([`Drive::Handed`]), the
+    /// caller's own wake surfaced ([`Drive::SelfRun`]), or the run ended
+    /// ([`Drive::Shutdown`]).
+    pub(crate) fn drive(&self, sid: usize, me: Option<NodeId>) -> Drive {
         let shared = &self.shards[sid];
+        let mut inner = shared.inner.lock();
         loop {
             if self.stopped.load(Ordering::Acquire) {
                 return Drive::Shutdown;
             }
-            let mut inner = shared.inner.lock();
             let horizon = inner.horizon;
             let Some(ev) = inner.sched.pop_before(horizon) else {
+                if self.shards.len() == 1 {
+                    // Unbounded horizon: nothing left to run anywhere.
+                    drop(inner);
+                    self.halt(None);
+                    return Drive::Shutdown;
+                }
                 // Window exhausted: flush outbound traffic and synchronize.
-                let msgs = inner.world.take_messages();
+                let msgs = (self.outbox)(&mut inner.world);
                 let unparks = match &mut inner.shard {
                     Some(s) => std::mem::take(&mut s.remote_unparks),
                     None => Vec::new(),
@@ -414,10 +455,11 @@ impl<W: Shardable> SyncCore<W> {
                     heap: inner.sched.len(),
                 };
                 drop(inner);
-                if self.barrier(sid, msgs, unparks, next, arrive) {
-                    continue;
+                if !self.barrier(sid, msgs, unparks, next, arrive) {
+                    return Drive::Shutdown;
                 }
-                return Drive::Shutdown;
+                inner = shared.inner.lock();
+                continue;
             };
             if ev.kind.is_sync() {
                 inner.sync_events += 1;
@@ -433,22 +475,21 @@ impl<W: Shardable> SyncCore<W> {
                 inner.events += 1;
                 // The event budget is one run-wide atomic shared by every
                 // shard and charged for serial-comparable events only, so a
-                // parallel run trips at the same global event count as its
-                // serial twin (not `num_shards`× later). The reported `at`
-                // is the window horizon — deterministic for a fixed shard
-                // count, where the tripping shard's local clock is not.
-                if let Some(g) = &inner.global_budget {
-                    if !g.charge() {
-                        let at = if horizon == Time::MAX {
-                            inner.now
-                        } else {
-                            horizon
-                        };
-                        let budget = g.limit;
-                        drop(inner);
-                        self.fail(SimError::EventBudgetExhausted { at, budget });
-                        return Drive::Shutdown;
-                    }
+                // sharded run trips at the same global event count as its
+                // one-shard twin (not `num_shards`× later). The reported
+                // `at` is the window horizon — deterministic for a fixed
+                // shard count, where the tripping shard's local clock is
+                // not — or, with no horizon, the shard's clock.
+                if !inner.budget.charge() {
+                    let at = if horizon == Time::MAX {
+                        inner.now
+                    } else {
+                        horizon
+                    };
+                    let budget = inner.budget.limit;
+                    drop(inner);
+                    self.halt(Some(SimError::EventBudgetExhausted { at, budget }));
+                    return Drive::Shutdown;
                 }
             }
             debug_assert!(ev.time >= inner.now, "shard queue went backwards");
@@ -466,10 +507,12 @@ impl<W: Shardable> SyncCore<W> {
                             NState::Startup | NState::Sleeping | NState::Parked | NState::SleepInt
                         );
                     if !runnable {
-                        continue; // stale wake (still counted, as in serial)
+                        continue; // stale wake (still counted)
                     }
                     meta.epoch += 1;
                     meta.state = NState::Running;
+                    // The queued unpark (if any) is consumed by this wake;
+                    // later unparks must queue a fresh event.
                     meta.unpark_queued = false;
                     if let Some(t) = &inner.tracer {
                         t.instant(
@@ -482,8 +525,7 @@ impl<W: Shardable> SyncCore<W> {
                     drop(inner);
                     if me == Some(node) {
                         // The driver's own wake: resume in place, zero
-                        // hand-offs (the parallel twin of the serial
-                        // fast-advance elision).
+                        // hand-offs.
                         return Drive::SelfRun(ev.time, reason);
                     }
                     self.batons[node.0].grant(ev.time, reason);
@@ -495,74 +537,66 @@ impl<W: Shardable> SyncCore<W> {
     }
 }
 
-/// Adapter from one shard of a [`SyncCore`] to the [`ShardDriver`] hook a
-/// [`NodeCtx`] calls on yield.
-struct ShardRt<W: Shardable> {
-    id: usize,
-    core: Arc<SyncCore<W>>,
+/// A run's per-shard engines and barrier state after a clean finish,
+/// before the caller folds them into a [`SimReport`].
+struct Finished<W: Send + 'static> {
+    inners: Vec<Inner<W>>,
+    st: GState<W>,
+    end_time: Time,
+    wakes_coalesced: u64,
 }
 
-impl<W: Shardable> ShardDriver<W> for ShardRt<W> {
-    fn drive(&self, me: Option<NodeId>) -> Drive {
-        self.core.drive(self.id, me)
-    }
-}
-
-impl<W: Shardable> Sim<W> {
-    /// Run to completion on `num_shards` OS threads' worth of shards using
-    /// conservative lookahead-window synchronization. `run_parallel(1)` is
-    /// exactly [`Sim::run`]; for supported workloads, larger shard counts
-    /// produce the same end time, event count, and final world state (see
-    /// the module docs for the argument and its limits).
-    ///
-    /// Pre-scheduled world events ([`Sim::schedule_call_at`]) are broadcast:
-    /// every shard pre-loads a replica and executes it against its own world
-    /// slice at exactly the scheduled time (shard 0's replica counts toward
-    /// `events`, the rest are `sync_events`). `num_shards` is clamped to the
-    /// node count; the requested value is recorded in
-    /// [`SimReport::shards_requested`] and a clamp is flagged in the
-    /// `[parallel]` stats summary. The event budget
-    /// ([`Sim::set_event_budget`]) is one run-wide atomic shared by all
-    /// shards, charged for serial-comparable events only, so serial and
-    /// parallel runs trip `EventBudgetExhausted` at the same event count.
-    pub fn run_parallel(mut self, num_shards: usize) -> Result<SimReport<W>, SimError> {
-        assert!(num_shards >= 1, "need at least one shard");
-        let requested_shards = num_shards;
-        let num_nodes = self.programs.len();
-        let num_shards = num_shards.min(num_nodes.max(1));
-        if num_shards <= 1 {
-            let mut rep = self.run()?;
-            rep.shards_requested = requested_shards;
-            return Ok(rep);
-        }
+impl<W: Send + 'static> Sim<W> {
+    /// Run to completion: until every node program has returned and the
+    /// event queue is empty. This is the one-shard drive loop: no barrier,
+    /// no split world, and no thread besides the node threads.
+    pub fn run(mut self) -> Result<SimReport<W>, SimError> {
         let started = std::time::Instant::now();
         let world = self.world.take().expect("world present");
+        let owner = Arc::new(vec![0; self.programs.len()]);
+        // The outbox is never drained: a one-shard run has no barrier.
+        let f = self.execute(vec![world], owner, Dur(u64::MAX), |_| Vec::new())?;
+        let inner = f.inners.into_iter().next().expect("one shard");
+        let wall = started.elapsed();
+        stats::record(inner.events, f.wakes_coalesced, wall);
+        Ok(SimReport {
+            world: inner.world,
+            end_time: f.end_time,
+            events: inner.events,
+            wakes_coalesced: f.wakes_coalesced,
+            shards: Vec::new(),
+            shards_requested: 0,
+            sync_events: 0,
+            windows: 0,
+            cross_unparks: 0,
+            profile: None,
+            wall,
+        })
+    }
+
+    /// Drive one world slice per shard (`owner[node] == shard`) to
+    /// completion, tear every thread down, and check for a deadlock.
+    fn execute(
+        mut self,
+        worlds: Vec<W>,
+        owner: Arc<Vec<usize>>,
+        lookahead: Dur,
+        outbox: Outbox<W>,
+    ) -> Result<Finished<W>, SimError> {
+        let num_shards = worlds.len();
+        let sharded = num_shards > 1;
         let programs = std::mem::take(&mut self.programs);
-        let lookahead = world.lookahead();
-        assert!(lookahead > Dur::ZERO, "lookahead must be positive");
-
-        // Block partition: contiguous node ranges, every shard non-empty
-        // (owner is surjective for num_shards <= num_nodes).
-        let owner: Arc<Vec<usize>> =
-            Arc::new((0..num_nodes).map(|i| i * num_shards / num_nodes).collect());
+        let num_nodes = programs.len();
         let tracer = self.tracer.take();
-        let worlds = world.split(num_shards, &owner);
-        assert_eq!(
-            worlds.len(),
-            num_shards,
-            "split must produce one world per shard"
-        );
-
-        let global_budget = Arc::new(crate::engine::GlobalBudget::new(self.event_budget));
-        let initial = std::mem::take(&mut self.initial);
-        let mut shards: Vec<Arc<Shared<W>>> = Vec::with_capacity(num_shards);
-        for (sid, w) in worlds.into_iter().enumerate() {
+        let budget = Arc::new(GlobalBudget::new(self.event_budget));
+        let mut shards = Vec::with_capacity(num_shards);
+        for (sid, world) in worlds.into_iter().enumerate() {
             let mut sched = Sched::new();
             // Broadcast world events: every shard pre-loads a replica so each
             // world slice observes the mutation at exactly the scheduled
             // time; only shard 0's replica is a counted event.
-            for (at, f) in &initial {
-                sched.push(*at, crate::engine::broadcast_kind(f.clone(), sid == 0));
+            for (at, f) in &self.initial {
+                sched.push(*at, broadcast_kind(f.clone(), sid == 0));
             }
             let mut nodes = Vec::with_capacity(num_nodes);
             for (i, (name, _)) in programs.iter().enumerate() {
@@ -582,21 +616,17 @@ impl<W: Shardable> Sim<W> {
             }
             shards.push(Arc::new(Shared {
                 inner: Mutex::new(Inner {
-                    world: w,
+                    world,
                     now: Time::ZERO,
                     sched,
                     nodes,
                     events: 0,
                     sync_events: 0,
-                    // The run-wide atomic `global_budget` is the only event
-                    // cap in parallel mode; the per-shard field would trip
-                    // each shard independently at the full budget.
-                    budget: u64::MAX,
-                    global_budget: Some(global_budget.clone()),
-                    // Zero horizon: nothing may run until the first barrier
-                    // establishes the first window.
-                    horizon: Time::ZERO,
-                    shard: Some(ShardSlot {
+                    budget: budget.clone(),
+                    // Sharded: nothing may run until the first barrier opens
+                    // the first window. One shard: no barrier, no bound.
+                    horizon: if sharded { Time::ZERO } else { Time::MAX },
+                    shard: sharded.then(|| ShardSlot {
                         id: sid,
                         owner: owner.clone(),
                         remote_unparks: Vec::new(),
@@ -606,33 +636,13 @@ impl<W: Shardable> Sim<W> {
                 }),
             }));
         }
-
-        let batons: Vec<Arc<Baton>> = (0..num_nodes).map(|_| Baton::new()).collect();
-        let core = Arc::new(SyncCore {
+        let core = Arc::new(Core {
             shards,
-            batons: batons.clone(),
+            batons: (0..num_nodes).map(|_| Baton::new()).collect(),
             owner: owner.clone(),
             lookahead,
-            num_shards,
-            state: Mutex::new(GState {
-                inbox: (0..num_shards).map(|_| Vec::new()).collect(),
-                unparks: (0..num_shards).map(|_| Vec::new()).collect(),
-                next: vec![None; num_shards],
-                arrived: 0,
-                round: 0,
-                windows: 0,
-                cross_unparks: 0,
-                window_start: Time::ZERO,
-                window_horizon: Time::ZERO,
-                arrive: vec![Arrive::default(); num_shards],
-                busy_ns: vec![0; num_shards],
-                active_windows: vec![0; num_shards],
-                prev_counts: vec![0; num_shards],
-                window_ns: 0,
-                finished: false,
-                failed: None,
-                stop: false,
-            }),
+            outbox,
+            state: Mutex::new(GState::new(num_shards)),
             cv: Condvar::new(),
             stopped: AtomicBool::new(false),
             tracer,
@@ -640,69 +650,60 @@ impl<W: Shardable> Sim<W> {
 
         let mut handles = Vec::with_capacity(num_nodes);
         for (i, (name, program)) in programs.into_iter().enumerate() {
-            let sid = owner[i];
-            let shared = core.shards[sid].clone();
-            let baton = batons[i].clone();
-            let seed = self.seed;
-            let core = core.clone();
-            let thread_name = format!("sp-sim-node-{i}-{name}");
+            let (core, sid, seed) = (core.clone(), owner[i], self.seed);
             let handle = std::thread::Builder::new()
-                .name(thread_name)
+                .name(format!("sp-sim-node-{i}-{name}"))
                 .spawn(move || {
-                    let rt: Arc<dyn ShardDriver<W>> = Arc::new(ShardRt {
-                        id: sid,
-                        core: core.clone(),
-                    });
-                    let mut ctx =
-                        NodeCtx::new(NodeId(i), num_nodes, seed, shared.clone(), baton.clone());
-                    ctx.driver = Some(rt.clone());
-                    let (t0, _) = baton.wait_for_start();
-                    ctx.now = t0;
-                    match catch_unwind(AssertUnwindSafe(|| program(&mut ctx))) {
-                        Ok(()) => {
-                            shared.note_done(NodeId(i));
-                            baton.release();
-                            // Stay on as the shard's driver: its queue may
-                            // still hold events, and drained shards must
-                            // keep answering barriers (and executing any
-                            // late inbound messages) until the run ends.
-                            rt.drive(None);
-                        }
-                        Err(payload) => {
-                            if payload.is::<ShutdownToken>() {
-                                return; // orderly teardown
-                            }
-                            let msg = payload
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "<non-string panic payload>".to_string());
-                            shared.note_done(NodeId(i));
-                            core.fail(SimError::NodePanicked {
-                                node: name,
-                                message: msg,
-                            });
-                        }
+                    let mut ctx = NodeCtx::new(NodeId(i), num_nodes, seed, core.clone(), sid);
+                    let baton = &core.batons[i];
+                    let out = catch_unwind(AssertUnwindSafe(|| {
+                        ctx.now = baton.wait_for_run().0;
+                        program(&mut ctx);
+                        ctx.shared.note_done(NodeId(i));
+                        baton.release();
+                        // Stay on as the shard's driver: its queue may still
+                        // hold events, and a drained shard must keep
+                        // answering barriers (and executing any late
+                        // inbound messages) until the run ends.
+                        core.drive(sid, None);
+                    }));
+                    let Err(payload) = out else { return };
+                    if payload.is::<ShutdownToken>() {
+                        return; // orderly teardown
                     }
+                    let message = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "<non-string panic payload>".to_string());
+                    ctx.shared.note_done(NodeId(i));
+                    core.halt(Some(SimError::NodePanicked {
+                        node: name,
+                        message,
+                    }));
                 })
                 .expect("spawn node thread");
             handles.push(handle);
         }
 
-        // One short-lived bootstrap driver per shard: arrives at the
-        // initial barrier (horizon starts at zero), then pops the first
-        // startup wake and hands the driving role to the node threads.
-        let mut boot = Vec::with_capacity(num_shards);
-        for sid in 0..num_shards {
-            let core = core.clone();
-            boot.push(
-                std::thread::Builder::new()
+        if sharded {
+            // One short-lived bootstrap driver per shard: arrives at the
+            // initial barrier (horizon starts at zero), then pops the first
+            // startup wake and hands the driving role to the node threads.
+            for sid in 0..num_shards {
+                let core = core.clone();
+                let boot = std::thread::Builder::new()
                     .name(format!("sp-sim-shard-{sid}"))
                     .spawn(move || {
                         core.drive(sid, None);
                     })
-                    .expect("spawn shard bootstrap thread"),
-            );
+                    .expect("spawn shard bootstrap thread");
+                handles.push(boot);
+            }
+        } else {
+            // No barrier to bootstrap: the calling thread drives up to the
+            // first wake it grants.
+            core.drive(0, None);
         }
 
         // Wait for completion (clean or failed).
@@ -715,19 +716,19 @@ impl<W: Shardable> Sim<W> {
         // Unwind every node thread still blocked on (or about to block on)
         // its baton; running nodes observe `Exit` at their next yield
         // (release() preserves it).
-        for baton in &batons {
+        for baton in &core.batons {
             baton.exit();
         }
         for handle in handles {
             let _ = handle.join();
         }
-        for handle in boot {
-            let _ = handle.join();
-        }
 
         let core = Arc::try_unwrap(core)
-            .unwrap_or_else(|_| panic!("shard threads still hold engine state"));
+            .unwrap_or_else(|_| panic!("driver threads still hold engine state"));
         let st = core.state.into_inner();
+        if let Some(err) = st.failed {
+            return Err(err);
+        }
         let inners: Vec<Inner<W>> = core
             .shards
             .into_iter()
@@ -738,48 +739,95 @@ impl<W: Shardable> Sim<W> {
                     .into_inner()
             })
             .collect();
-
-        if let Some(err) = st.failed {
-            return Err(err);
-        }
         let mut end_time = Time::ZERO;
         let mut stuck: Vec<String> = Vec::new();
-        let mut shard_reports = Vec::with_capacity(num_shards);
-        let mut events = 0u64;
-        let mut sync_events = 0u64;
         let mut wakes_coalesced = 0u64;
         for (sid, inner) in inners.iter().enumerate() {
             end_time = end_time.max(inner.now);
-            let mut nodes_owned = 0usize;
             for (i, meta) in inner.nodes.iter().enumerate() {
-                if owner[i] != sid {
-                    continue;
-                }
-                nodes_owned += 1;
-                wakes_coalesced += meta.coalesced;
-                if meta.state != NState::Done {
-                    stuck.push(meta.name.clone());
+                if owner[i] == sid {
+                    wakes_coalesced += meta.coalesced;
+                    if meta.state != NState::Done {
+                        stuck.push(meta.name.clone());
+                    }
                 }
             }
-            shard_reports.push(ShardReport {
-                shard: sid,
-                nodes: nodes_owned,
-                events: inner.events,
-                sync_events: inner.sync_events,
-            });
-            events += inner.events;
-            sync_events += inner.sync_events;
         }
         if !stuck.is_empty() {
-            debug_assert!(st.finished);
             return Err(SimError::Deadlock {
                 at: end_time,
                 parked: stuck,
             });
         }
-        let world = W::merge(inners.into_iter().map(|i| i.world).collect());
+        Ok(Finished {
+            inners,
+            st,
+            end_time,
+            wakes_coalesced,
+        })
+    }
+}
+
+impl<W: Shardable> Sim<W> {
+    /// Run to completion on `num_shards` shards using conservative
+    /// lookahead-window synchronization. One shard (after the clamp below)
+    /// is exactly [`Sim::run`]; for supported workloads, larger shard
+    /// counts produce the same end time, event count, and final world state
+    /// (see the module docs for the argument and its limits).
+    ///
+    /// Pre-scheduled world events ([`Sim::schedule_call_at`]) are broadcast:
+    /// every shard pre-loads a replica and executes it against its own world
+    /// slice at exactly the scheduled time (shard 0's replica counts toward
+    /// `events`, the rest are `sync_events`). `num_shards` is clamped to the
+    /// node count; the requested value is recorded in
+    /// [`SimReport::shards_requested`] and a clamp is flagged in the
+    /// `[parallel]` stats summary. The event budget
+    /// ([`Sim::set_event_budget`]) is one run-wide atomic shared by all
+    /// shards, charged for serial-comparable events only, so one-shard and
+    /// sharded runs trip `EventBudgetExhausted` at the same event count.
+    pub fn run_parallel(mut self, num_shards: usize) -> Result<SimReport<W>, SimError> {
+        assert!(num_shards >= 1, "need at least one shard");
+        let requested_shards = num_shards;
+        let num_nodes = self.programs.len();
+        let num_shards = num_shards.min(num_nodes.max(1));
+        if num_shards <= 1 {
+            let mut rep = self.run()?;
+            rep.shards_requested = requested_shards;
+            return Ok(rep);
+        }
+        let started = std::time::Instant::now();
+        let world = self.world.take().expect("world present");
+        let lookahead = world.lookahead();
+        assert!(lookahead > Dur::ZERO, "lookahead must be positive");
+
+        // Block partition: contiguous node ranges, every shard non-empty
+        // (owner is surjective for num_shards <= num_nodes).
+        let owner: Arc<Vec<usize>> =
+            Arc::new((0..num_nodes).map(|i| i * num_shards / num_nodes).collect());
+        let worlds = world.split(num_shards, &owner);
+        assert_eq!(
+            worlds.len(),
+            num_shards,
+            "split must produce one world per shard"
+        );
+        let f = self.execute(worlds, owner.clone(), lookahead, drain_outbox::<W>)?;
+        let st = f.st;
+        let shard_reports: Vec<ShardReport> = f
+            .inners
+            .iter()
+            .enumerate()
+            .map(|(sid, inner)| ShardReport {
+                shard: sid,
+                nodes: owner.iter().filter(|&&o| o == sid).count(),
+                events: inner.events,
+                sync_events: inner.sync_events,
+            })
+            .collect();
+        let events: u64 = shard_reports.iter().map(|s| s.events).sum();
+        let sync_events: u64 = shard_reports.iter().map(|s| s.sync_events).sum();
+        let world = W::merge(f.inners.into_iter().map(|i| i.world).collect());
         let wall = started.elapsed();
-        stats::record(events, wakes_coalesced, wall);
+        stats::record(events, f.wakes_coalesced, wall);
         stats::record_parallel(
             requested_shards as u64,
             num_shards as u64,
@@ -797,9 +845,9 @@ impl<W: Shardable> Sim<W> {
         stats::record_profile(&profile);
         Ok(SimReport {
             world,
-            end_time,
+            end_time: f.end_time,
             events,
-            wakes_coalesced,
+            wakes_coalesced: f.wakes_coalesced,
             shards: shard_reports,
             shards_requested: requested_shards,
             sync_events,
@@ -1203,14 +1251,68 @@ mod tests {
                 sim.run_parallel(shards)
             }
         };
-        let budget_of = |r: Result<SimReport<()>, SimError>| match r {
-            Err(SimError::EventBudgetExhausted { budget, .. }) => budget,
+        let trip = |r: Result<SimReport<()>, SimError>| match r {
+            Err(SimError::EventBudgetExhausted { at, budget }) => (at, budget),
             other => panic!("expected budget exhaustion, got {other:?}"),
         };
-        assert_eq!(budget_of(run(1)), 300);
+        // One shard has no window horizon, so `at` is its clock when the
+        // budget ran out — pinned to the value the engine has always given.
+        assert_eq!(trip(run(1)), (Time(74), 300));
         for shards in [2, 4] {
-            assert_eq!(budget_of(run(shards)), 300, "shards={shards}");
+            assert_eq!(trip(run(shards)).1, 300, "shards={shards}");
         }
+    }
+
+    /// One-shard teardown: a node panics after its first real yield while
+    /// one sibling is parked and another is asleep. The run reports the
+    /// panicking node, and every node thread has unwound and been joined
+    /// by the time `run` returns.
+    #[test]
+    fn one_shard_panic_tears_down_parked_and_sleeping_siblings() {
+        use std::sync::atomic::AtomicUsize;
+        struct Unwound(Arc<AtomicUsize>);
+        impl Drop for Unwound {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let unwound = Arc::new(AtomicUsize::new(0));
+        let mut sim = Sim::new((), 0);
+        let u = unwound.clone();
+        sim.spawn("parked", move |ctx| {
+            let _u = Unwound(u);
+            ctx.park();
+            unreachable!("nothing unparks this node");
+        });
+        let u = unwound.clone();
+        sim.spawn("sleeping", move |ctx| {
+            let _u = Unwound(u);
+            ctx.advance(Dur::us(1_000.0));
+        });
+        let u = unwound.clone();
+        sim.spawn("bad", move |ctx| {
+            let _u = Unwound(u);
+            // The event inside the span defeats the fast path: a real yield.
+            ctx.schedule(Dur::us(1.0), |_e| {});
+            ctx.advance(Dur::us(2.0));
+            panic!("boom");
+        });
+        let out = sim.run();
+        std::panic::set_hook(prev);
+        match out {
+            Err(SimError::NodePanicked { node, message }) => {
+                assert_eq!(node, "bad");
+                assert!(message.contains("boom"));
+            }
+            other => panic!("expected node panic, got {other:?}"),
+        }
+        assert_eq!(
+            unwound.load(Ordering::SeqCst),
+            3,
+            "a node thread outlived run"
+        );
     }
 
     #[test]

@@ -1401,22 +1401,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_packets_count_globally_and_trace() {
-        use sp_trace::{Kind, Tracer};
-        let tracer = Tracer::new(2, 64);
-        let before = gstats::dropped();
-        let mut s = sw(2);
-        s.set_tracer(tracer.clone());
-        s.set_fault_injector(FaultInjector::drop_at([0]));
-        assert_eq!(s.transit(0, 1, 256, Time::ZERO), Transit::Dropped);
-        assert_eq!(gstats::dropped(), before + 1);
-        assert!(tracer
-            .snapshot()
-            .iter()
-            .any(|r| r.kind == Kind::SwitchDrop && r.arg == 256));
-    }
-
-    #[test]
     fn duplicate_fault_delivers_twice() {
         let mut s = sw(2);
         s.set_fault_injector(FaultInjector::dup_at([0]));
@@ -1454,29 +1438,6 @@ mod tests {
             assert!(at > prev);
             prev = at;
         }
-    }
-
-    #[test]
-    fn duplicated_packets_count_globally_and_trace() {
-        use sp_trace::{Kind, Tracer};
-        let tracer = Tracer::new(2, 64);
-        let before = gstats::duplicated();
-        let mut s = sw(2);
-        s.set_tracer(tracer.clone());
-        s.set_fault_injector(FaultInjector::dup_at([0]));
-        let t = s.transit(0, 1, 256, Time::ZERO);
-        assert!(matches!(
-            t,
-            Transit::Delivered {
-                dup_at: Some(_),
-                ..
-            }
-        ));
-        assert_eq!(gstats::duplicated(), before + 1);
-        assert!(tracer
-            .snapshot()
-            .iter()
-            .any(|r| r.kind == Kind::SwitchDup && r.arg == 256));
     }
 
     #[test]
