@@ -39,7 +39,6 @@ mod unit;
 mod world;
 
 pub use config::AdapterConfig;
-pub use unit::gstats;
 pub use unit::{
     AdapterStats, FifoFull, WirePacket, ENTRY_BYTES, HEADER_BYTES, MAX_PAYLOAD,
     RECV_ENTRIES_PER_NODE, SEND_FIFO_ENTRIES,

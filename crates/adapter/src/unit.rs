@@ -2,24 +2,6 @@
 
 use std::collections::VecDeque;
 
-/// Process-global adapter counters, cumulative across every adapter in
-/// this process. Experiment binaries print these so silent receive-FIFO
-/// overflow is visible in every summary line.
-pub mod gstats {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static DROPPED: AtomicU64 = AtomicU64::new(0);
-
-    pub(crate) fn record_drop() {
-        DROPPED.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Packets dropped to receive-FIFO overflow since process start.
-    pub fn dropped_overflow() -> u64 {
-        DROPPED.load(Ordering::Relaxed)
-    }
-}
-
 /// Bytes per FIFO entry (= max packet size on the wire).
 pub const ENTRY_BYTES: usize = 256;
 /// Packet header bytes (destination, route, sequence bookkeeping).
@@ -184,7 +166,6 @@ impl<P> Adapter<P> {
     pub(crate) fn deliver(&mut self, pkt: WirePacket<P>) -> bool {
         if self.recv_occupancy() >= self.recv_capacity {
             self.stats.dropped_overflow += 1;
-            gstats::record_drop();
             return false;
         }
         self.recv_fifo.push_back(pkt);

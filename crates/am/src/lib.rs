@@ -92,7 +92,7 @@ pub use config::{AmConfig, ReliabilityConfig};
 pub use machine::{AmMachine, AmReport};
 pub use mem::{GlobalPtr, Mem, MemPool};
 pub use port::AmPort;
-pub use stats::{gstats, AmStats};
+pub use stats::AmStats;
 pub use wire::{AmPacket, Body, Channel, CHUNK_BYTES, CHUNK_PACKETS};
 
 /// World type used by every SP AM simulation.

@@ -3,6 +3,7 @@
 use crate::api::Am;
 use crate::config::AmConfig;
 use crate::mem::MemPool;
+use crate::stats::AmStats;
 use crate::wire::AmPacket;
 use crate::AmWorld;
 use sp_adapter::SpConfig;
@@ -67,6 +68,8 @@ pub struct AmReport {
     pub world: AmWorld,
     /// The memory pool (inspect transfer results after the run).
     pub mem: MemPool,
+    /// Each node's final [`AmStats`], indexed by node.
+    pub am_stats: Vec<AmStats>,
 }
 
 impl AmReport {
@@ -159,12 +162,14 @@ impl AmMachine {
         prog: impl FnOnce(&mut Am<'_, S>) + Send + 'static,
     ) -> NodeId {
         assert!(self.spawned < self.nodes, "more programs than nodes");
+        let node = self.spawned;
         self.spawned += 1;
         let mem = self.mem.clone();
         let cfg = self.cfg.clone();
         self.sim.spawn(name, move |ctx| {
             let mut am = Am::new(ctx, mem, cfg, state);
             prog(&mut am);
+            am.mem_pool().leave_stats(node, am.stats().clone());
         })
     }
 
@@ -202,6 +207,7 @@ impl AmMachine {
             windows: report.windows,
             profile: report.profile,
             world: report.world,
+            am_stats: mem.take_stats(),
             mem,
         })
     }

@@ -7,6 +7,7 @@
 //! can inspect memory after the run; the engine's one-thread-at-a-time
 //! discipline keeps access deterministic.
 
+use crate::stats::AmStats;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -74,16 +75,23 @@ impl Arena {
     }
 }
 
-/// The pool of all node arenas (shared handle).
+/// The pool of all node arenas (shared handle). An AM machine's node
+/// programs also leave their final protocol counters here as they return,
+/// for [`AmReport::am_stats`](crate::AmReport::am_stats).
 #[derive(Clone)]
 pub struct MemPool {
-    // (shared state below)
-    arenas: Arc<Mutex<Vec<Arena>>>,
+    shared: Arc<Shared>,
+}
+
+struct Shared {
+    arenas: Mutex<Vec<Arena>>,
+    /// `(node, final counters)`, in the order the programs returned.
+    stats: Mutex<Vec<(usize, AmStats)>>,
 }
 
 impl std::fmt::Debug for MemPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let arenas = self.arenas.lock();
+        let arenas = self.shared.arenas.lock();
         f.debug_struct("MemPool")
             .field("nodes", &arenas.len())
             .field(
@@ -98,7 +106,10 @@ impl MemPool {
     /// A pool with one empty arena per node.
     pub fn new(nodes: usize) -> Self {
         MemPool {
-            arenas: Arc::new(Mutex::new((0..nodes).map(|_| Arena::new()).collect())),
+            shared: Arc::new(Shared {
+                arenas: Mutex::new((0..nodes).map(|_| Arena::new()).collect()),
+                stats: Mutex::default(),
+            }),
         }
     }
 
@@ -112,13 +123,13 @@ impl MemPool {
 
     /// Allocate `len` bytes on `node` (8-byte aligned bump allocation).
     pub fn alloc(&self, node: usize, len: u32) -> GlobalPtr {
-        let addr = self.arenas.lock()[node].alloc(len);
+        let addr = self.shared.arenas.lock()[node].alloc(len);
         GlobalPtr { node, addr }
     }
 
     /// Read `out.len()` bytes at `p`.
     pub fn read(&self, p: GlobalPtr, out: &mut [u8]) {
-        self.arenas.lock()[p.node].read(p.addr, out);
+        self.shared.arenas.lock()[p.node].read(p.addr, out);
     }
 
     /// Read `len` bytes at `p` into a fresh buffer.
@@ -130,12 +141,24 @@ impl MemPool {
 
     /// Write `bytes` at `p`.
     pub fn write(&self, p: GlobalPtr, bytes: &[u8]) {
-        self.arenas.lock()[p.node].write(p.addr, bytes);
+        self.shared.arenas.lock()[p.node].write(p.addr, bytes);
     }
 
     /// Bytes currently allocated on `node`.
     pub fn allocated(&self, node: usize) -> u32 {
-        self.arenas.lock()[node].next
+        self.shared.arenas.lock()[node].next
+    }
+
+    /// Record `node`'s final protocol counters as its program returns.
+    pub(crate) fn leave_stats(&self, node: usize, stats: AmStats) {
+        self.shared.stats.lock().push((node, stats));
+    }
+
+    /// Every recorded node's final counters, in node order.
+    pub(crate) fn take_stats(&self) -> Vec<AmStats> {
+        let mut stats = std::mem::take(&mut *self.shared.stats.lock());
+        stats.sort_unstable_by_key(|&(node, _)| node);
+        stats.into_iter().map(|(_, s)| s).collect()
     }
 }
 

@@ -6,7 +6,7 @@ use crate::api::{AmArgs, AmEnv, BulkHandle, BulkInfo};
 use crate::channel::{BulkTx, RxChan, RxVerdict, SendItem, TxChan};
 use crate::config::AmConfig;
 use crate::mem::MemPool;
-use crate::stats::{gstats, AmStats};
+use crate::stats::AmStats;
 use crate::wire::{AmPacket, Body, Channel, ShortKind};
 use crate::AmCtx;
 use sp_adapter::host;
@@ -475,8 +475,6 @@ impl<S> AmPort<S> {
                 if rtx > 0 {
                     self.stats.packets_retransmitted += rtx as u64;
                     self.stats.rtx_timeout += rtx as u64;
-                    gstats::add_retransmitted(rtx as u64);
-                    gstats::add_rtx_timeout(rtx as u64);
                     let hwm = self.peers[dst].tx[chan.idx()].estimator().backoff_hwm();
                     self.stats.backoff_hwm = self.stats.backoff_hwm.max(hwm as u64);
                     self.t_instant(now, TraceKind::AmRtoRtx, rtx as u64);
@@ -511,7 +509,6 @@ impl<S> AmPort<S> {
     /// if everything actually arrived, or restarts lost traffic otherwise.
     fn keepalive_round(&mut self, ctx: &mut AmCtx) {
         self.stats.keepalive_rounds += 1;
-        gstats::add_keepalive_rounds(1);
         let mut probes = 0u64;
         for dst in 0..self.n {
             for chan in Channel::BOTH {
@@ -534,7 +531,6 @@ impl<S> AmPort<S> {
         if pkt.src_epoch < self.peer_epochs[src] {
             // From a dead incarnation of the peer: drop on the floor.
             self.stats.stale_dropped += 1;
-            gstats::add_stale_dropped(1);
             self.t_instant(ctx.now(), TraceKind::AmStaleDrop, pkt.src_epoch as u64);
             return;
         }
@@ -549,7 +545,6 @@ impl<S> AmPort<S> {
             // current epoch back (the ACK carries `src_epoch = my_epoch`)
             // so the sender adopts and replays.
             self.stats.stale_dropped += 1;
-            gstats::add_stale_dropped(1);
             self.t_instant(ctx.now(), TraceKind::AmStaleDrop, pkt.dst_epoch as u64);
             self.explicit_ack(ctx, src, pkt.chan);
             return;
@@ -568,8 +563,11 @@ impl<S> AmPort<S> {
             Body::Nack { seq, offset, probe } => {
                 self.made_progress = true;
                 self.stats.controls_received += 1;
-                self.stats.nacks_received += 1;
-                gstats::add_nacks_received(1);
+                if probe {
+                    self.stats.probe_answers_received += 1;
+                } else {
+                    self.stats.nacks_received += 1;
+                }
                 let (completed, rtx) =
                     self.peers[src].tx[chan.idx()].on_nack(seq, offset, ctx.now());
                 self.t_instant(ctx.now(), TraceKind::AmNackIn, rtx as u64);
@@ -577,10 +575,8 @@ impl<S> AmPort<S> {
                     self.t_instant(ctx.now(), TraceKind::AmRetransmit, rtx as u64);
                 }
                 self.stats.packets_retransmitted += rtx as u64;
-                gstats::add_retransmitted(rtx as u64);
                 if probe && rtx > 0 {
                     self.stats.rtx_keepalive += rtx as u64;
-                    gstats::add_rtx_keepalive(rtx as u64);
                 }
                 self.finish_bulks(ctx, state, completed);
                 self.pump_peer(ctx, src);
@@ -601,8 +597,7 @@ impl<S> AmPort<S> {
                     },
                 );
                 self.t_instant(ctx.now(), TraceKind::AmNackOut, 0);
-                self.stats.nacks_sent += 1;
-                gstats::add_nacks_sent(1);
+                self.stats.probe_answers_sent += 1;
             }
             Body::Short { .. } | Body::Data { .. } => {
                 self.handle_sequenced(ctx, state, src, pkt);
@@ -635,7 +630,6 @@ impl<S> AmPort<S> {
             }
             RxVerdict::DupDrop => {
                 self.stats.dup_dropped += 1;
-                gstats::add_dup_dropped(1);
                 self.t_instant(ctx.now(), TraceKind::AmDupDrop, pkt.seq as u64);
                 self.explicit_ack(ctx, src, chan);
             }
@@ -644,7 +638,6 @@ impl<S> AmPort<S> {
                     self.buffer_ooo(ctx, src, chan, pkt, nack);
                 } else {
                     self.stats.ooo_dropped += 1;
-                    gstats::add_ooo_dropped(1);
                     self.t_instant(ctx.now(), TraceKind::AmOooDrop, pkt.seq as u64);
                     if nack {
                         self.send_nack(ctx, src, chan);
@@ -788,7 +781,6 @@ impl<S> AmPort<S> {
             // Duplicate of something already held: treat like any other
             // duplicate (drop and re-advertise).
             self.stats.dup_dropped += 1;
-            gstats::add_dup_dropped(1);
             self.t_instant(ctx.now(), TraceKind::AmDupDrop, seq as u64);
             self.explicit_ack(ctx, src, chan);
             return;
@@ -800,7 +792,6 @@ impl<S> AmPort<S> {
             // or a later round recovers it). Windows keep sequences within
             // the horizon except for degenerate all-shorts bursts.
             self.stats.ooo_dropped += 1;
-            gstats::add_ooo_dropped(1);
             self.t_instant(ctx.now(), TraceKind::AmOooDrop, seq as u64);
             return;
         }
@@ -855,7 +846,6 @@ impl<S> AmPort<S> {
             buf.remove(&k);
             self.stats.ooo_held -= 1;
             self.stats.dup_dropped += 1;
-            gstats::add_dup_dropped(1);
         }
     }
 
@@ -868,8 +858,6 @@ impl<S> AmPort<S> {
             self.made_progress = true;
             self.stats.packets_retransmitted += rtx as u64;
             self.stats.rtx_sack_gap += rtx as u64;
-            gstats::add_retransmitted(rtx as u64);
-            gstats::add_rtx_sack_gap(rtx as u64);
             self.t_instant(ctx.now(), TraceKind::AmSackRtx, rtx as u64);
             self.pump_peer(ctx, src);
         }
@@ -887,12 +875,10 @@ impl<S> AmPort<S> {
             self.ooo_buf[src][chan.idx()].clear();
             self.stats.ooo_held -= held;
             self.stats.ooo_dropped += held;
-            gstats::add_ooo_dropped(held);
             self.peers[src].rx[chan.idx()] = self.fresh_rx(chan);
             let rtx = self.peers[src].tx[chan.idx()].reincarnate(ctx.now());
             if rtx > 0 {
                 self.stats.packets_retransmitted += rtx as u64;
-                gstats::add_retransmitted(rtx as u64);
                 self.t_instant(ctx.now(), TraceKind::AmRetransmit, rtx as u64);
             }
         }
@@ -916,7 +902,6 @@ impl<S> AmPort<S> {
                 self.ooo_buf[src][chan.idx()].clear();
                 self.stats.ooo_held -= held;
                 self.stats.ooo_dropped += held;
-                gstats::add_ooo_dropped(held);
                 self.peers[src].rx[chan.idx()] = self.fresh_rx(chan);
                 self.peers[src].tx[chan.idx()] = self.fresh_tx(chan);
             }
@@ -945,7 +930,6 @@ impl<S> AmPort<S> {
         let (es, eo) = self.peers[dst].rx[chan.idx()].expected();
         self.t_instant(ctx.now(), TraceKind::AmNackOut, 0);
         self.stats.nacks_sent += 1;
-        gstats::add_nacks_sent(1);
         self.send_control(
             ctx,
             dst,

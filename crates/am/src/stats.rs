@@ -1,116 +1,5 @@
 //! Protocol statistics, exposed for tests and experiments.
 
-/// Process-global reliability counters, cumulative across every AM port in
-/// this process. Experiment binaries print these so retransmissions, NACK
-/// storms, and receiver-side drops are visible in every summary line, not
-/// just inside per-run `AmStats`.
-pub mod gstats {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static RETRANSMITTED: AtomicU64 = AtomicU64::new(0);
-    static NACKS_SENT: AtomicU64 = AtomicU64::new(0);
-    static NACKS_RECEIVED: AtomicU64 = AtomicU64::new(0);
-    static DUP_DROPPED: AtomicU64 = AtomicU64::new(0);
-    static OOO_DROPPED: AtomicU64 = AtomicU64::new(0);
-    static KEEPALIVE_ROUNDS: AtomicU64 = AtomicU64::new(0);
-    static RTX_TIMEOUT: AtomicU64 = AtomicU64::new(0);
-    static RTX_SACK_GAP: AtomicU64 = AtomicU64::new(0);
-    static RTX_KEEPALIVE: AtomicU64 = AtomicU64::new(0);
-    static STALE_DROPPED: AtomicU64 = AtomicU64::new(0);
-
-    pub(crate) fn add_retransmitted(n: u64) {
-        RETRANSMITTED.fetch_add(n, Ordering::Relaxed);
-    }
-    pub(crate) fn add_nacks_sent(n: u64) {
-        NACKS_SENT.fetch_add(n, Ordering::Relaxed);
-    }
-    pub(crate) fn add_nacks_received(n: u64) {
-        NACKS_RECEIVED.fetch_add(n, Ordering::Relaxed);
-    }
-    pub(crate) fn add_dup_dropped(n: u64) {
-        DUP_DROPPED.fetch_add(n, Ordering::Relaxed);
-    }
-    pub(crate) fn add_ooo_dropped(n: u64) {
-        OOO_DROPPED.fetch_add(n, Ordering::Relaxed);
-    }
-    pub(crate) fn add_keepalive_rounds(n: u64) {
-        KEEPALIVE_ROUNDS.fetch_add(n, Ordering::Relaxed);
-    }
-    pub(crate) fn add_rtx_timeout(n: u64) {
-        RTX_TIMEOUT.fetch_add(n, Ordering::Relaxed);
-    }
-    pub(crate) fn add_rtx_sack_gap(n: u64) {
-        RTX_SACK_GAP.fetch_add(n, Ordering::Relaxed);
-    }
-    pub(crate) fn add_rtx_keepalive(n: u64) {
-        RTX_KEEPALIVE.fetch_add(n, Ordering::Relaxed);
-    }
-    pub(crate) fn add_stale_dropped(n: u64) {
-        STALE_DROPPED.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Packets retransmitted (go-back-N) since process start.
-    pub fn retransmitted() -> u64 {
-        RETRANSMITTED.load(Ordering::Relaxed)
-    }
-    /// NACKs sent since process start.
-    pub fn nacks_sent() -> u64 {
-        NACKS_SENT.load(Ordering::Relaxed)
-    }
-    /// NACKs received since process start.
-    pub fn nacks_received() -> u64 {
-        NACKS_RECEIVED.load(Ordering::Relaxed)
-    }
-    /// Duplicates dropped by receivers since process start.
-    pub fn dup_dropped() -> u64 {
-        DUP_DROPPED.load(Ordering::Relaxed)
-    }
-    /// Out-of-order packets dropped by receivers since process start.
-    pub fn ooo_dropped() -> u64 {
-        OOO_DROPPED.load(Ordering::Relaxed)
-    }
-    /// Keep-alive probe rounds since process start.
-    pub fn keepalive_rounds() -> u64 {
-        KEEPALIVE_ROUNDS.load(Ordering::Relaxed)
-    }
-    /// Packets retransmitted on an adaptive-RTO expiry since process start.
-    pub fn rtx_timeout() -> u64 {
-        RTX_TIMEOUT.load(Ordering::Relaxed)
-    }
-    /// Packets retransmitted to fill receiver-reported SACK gaps.
-    pub fn rtx_sack_gap() -> u64 {
-        RTX_SACK_GAP.load(Ordering::Relaxed)
-    }
-    /// Packets retransmitted in response to keep-alive probe answers.
-    pub fn rtx_keepalive() -> u64 {
-        RTX_KEEPALIVE.load(Ordering::Relaxed)
-    }
-    /// Stale-incarnation packets dropped by receivers since process start.
-    pub fn stale_dropped() -> u64 {
-        STALE_DROPPED.load(Ordering::Relaxed)
-    }
-
-    /// One-line summary of the process-global reliability counters, in the
-    /// style of the `[engine]` summary. The retransmit-cause breakdown is
-    /// `timeout/sack-gap/keepalive`; the remainder of `rtx` is plain
-    /// NACK-driven go-back-N.
-    pub fn summary() -> String {
-        format!(
-            "rtx {} (cause t/s/k {}/{}/{}) | nacks {}/{} (out/in) | dup-drop {} | ooo-drop {} | stale-drop {} | keepalive {}",
-            retransmitted(),
-            rtx_timeout(),
-            rtx_sack_gap(),
-            rtx_keepalive(),
-            nacks_sent(),
-            nacks_received(),
-            dup_dropped(),
-            ooo_dropped(),
-            stale_dropped(),
-            keepalive_rounds(),
-        )
-    }
-}
-
 /// Counters kept by each node's [`AmPort`](crate::AmPort).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AmStats {
@@ -144,10 +33,17 @@ pub struct AmStats {
     pub dup_dropped: u64,
     /// Out-of-order packets dropped by the receiver.
     pub ooo_dropped: u64,
-    /// NACKs sent.
+    /// Loss NACKs sent (a receiver saw a sequence gap).
     pub nacks_sent: u64,
-    /// NACKs received (each triggers a go-back-N).
+    /// Loss NACKs received (each triggers a go-back-N).
     pub nacks_received: u64,
+    /// Keep-alive probes answered. The answer is a NACK-shaped packet
+    /// carrying the expected sequence number, but it is routine chatter,
+    /// not a loss report, so it is counted here and not in `nacks_sent`.
+    pub probe_answers_sent: u64,
+    /// Probe answers received (each may trigger a go-back-N, counted in
+    /// `rtx_keepalive`).
+    pub probe_answers_received: u64,
     /// Explicit ACK packets sent (piggybacked ACKs are free).
     pub explicit_acks_sent: u64,
     /// Keep-alive probes sent.

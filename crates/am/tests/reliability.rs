@@ -66,6 +66,50 @@ fn crash_restart_epoch_handshake_redelivers_everything() {
     );
 }
 
+#[test]
+fn keepalive_probe_answers_are_not_loss_nacks() {
+    // Lossless: the receiver computes for 500 µs before it first polls, so
+    // the sender's idle polls trip keep-alive probes. Each answer lands in
+    // the probe-answer counters; no NACK is ever sent for a loss.
+    let cfg = AmConfig {
+        keepalive_polls: 4,
+        ..AmConfig::default()
+    };
+    let mut m = AmMachine::new(SpConfig::thin(2), cfg, 1);
+    m.spawn("sender", St::default(), |am: &mut Am<'_, St>| {
+        am.register(set_bit);
+        for i in 0..4 {
+            am.request_1(1, 0, 1 << i);
+        }
+        am.quiesce();
+    });
+    m.spawn("receiver", St::default(), |am: &mut Am<'_, St>| {
+        am.register(set_bit);
+        am.work(sp_sim::Dur::us(500.0));
+        am.poll_until(|s| s.bits == 0xF);
+        am.drain(sp_sim::Dur::ms(1.0));
+    });
+    let report = m.run().unwrap();
+    assert_eq!(
+        report.switch_dropped + report.dropped_overflow,
+        0,
+        "lossless"
+    );
+    let (tx, rx) = (&report.am_stats[0], &report.am_stats[1]);
+    assert!(tx.probes_sent > 0, "keep-alive must fire: {tx:?}");
+    assert_eq!(
+        (
+            tx.nacks_sent,
+            tx.nacks_received,
+            rx.nacks_sent,
+            rx.nacks_received
+        ),
+        (0, 0, 0, 0)
+    );
+    assert!(rx.probe_answers_sent > 0, "{rx:?}");
+    assert!(tx.probe_answers_received > 0, "{tx:?}");
+}
+
 /// 300 in-order requests under 5% random loss; returns (sender, receiver)
 /// stats after full quiescence.
 fn run_lossy(rel: ReliabilityConfig) -> (AmStats, AmStats) {

@@ -2,12 +2,13 @@
 //! doorbell batching, explicit-ACK threshold, lazy-pop batching, the MPI
 //! binned allocator, tuned collectives, and polling vs interrupts.
 
+use crate::Tally;
 use parking_lot::Mutex;
 use sp_adapter::SpConfig;
 use sp_am::{Am, AmArgs, AmConfig, AmEnv, AmMachine, GlobalPtr};
 use sp_mpi::runner::MpiImpl;
 use sp_mpi::{Mpi, MpiAm, MpiAmConfig, MpiSt};
-use sp_nas::{run_kernel, Kernel};
+use sp_nas::{run_kernel_on, Kernel, NasClass};
 use std::sync::Arc;
 
 #[derive(Default)]
@@ -21,7 +22,7 @@ fn bump(env: &mut AmEnv<'_, St>, _args: AmArgs) {
 
 /// Async-store bandwidth (MB/s) and blocking 64 KB store latency (µs)
 /// under a given protocol/hardware configuration.
-pub fn am_profile(sp: SpConfig, am_cfg: AmConfig) -> (f64, f64) {
+pub fn am_profile(sp: SpConfig, am_cfg: AmConfig, t: &mut Tally) -> (f64, f64) {
     let out = Arc::new(Mutex::new((0.0f64, 0.0f64)));
     let out2 = out.clone();
     let mut m = AmMachine::new(sp, am_cfg, 17);
@@ -51,14 +52,14 @@ pub fn am_profile(sp: SpConfig, am_cfg: AmConfig) -> (f64, f64) {
         am.barrier();
         am.barrier();
     });
-    m.run().expect("ablation run completes");
+    t.add(&m.run().expect("ablation run completes"));
     let v = *out.lock();
     v
 }
 
 /// Explicit-ACK packets sent by the receiver for a fixed request stream,
 /// plus the stream's completion time (µs).
-pub fn ack_threshold_profile(div: u32) -> (u64, f64) {
+pub fn ack_threshold_profile(div: u32, t: &mut Tally) -> (u64, f64) {
     let cfg = AmConfig {
         ack_threshold_div: div,
         ..AmConfig::default()
@@ -68,15 +69,11 @@ pub fn ack_threshold_profile(div: u32) -> (u64, f64) {
     let mut m = AmMachine::new(SpConfig::thin(2), cfg, 17);
     m.spawn("tx", St::default(), |am: &mut Am<'_, St>| {
         am.register(bump);
-        let t0 = am.now();
         for _ in 0..200u32 {
             am.request_1(1, 0, 0);
         }
         am.quiesce();
-        let dt = (am.now() - t0).as_us();
         am.barrier();
-        // Stash the time via state? Use the shared cell on the rx side.
-        let _ = dt;
     });
     m.spawn("rx", St::default(), move |am: &mut Am<'_, St>| {
         am.register(bump);
@@ -84,14 +81,14 @@ pub fn ack_threshold_profile(div: u32) -> (u64, f64) {
         am.barrier();
         *out2.lock() = (am.stats().explicit_acks_sent, am.now().as_us());
     });
-    m.run().expect("ack ablation completes");
+    t.add(&m.run().expect("ack ablation completes"));
     let v = *out.lock();
     v
 }
 
 /// MPI 256-byte eager send+recv per-message time (µs) with/without the
 /// binned allocator (everything else optimized).
-pub fn allocator_profile(binned: bool) -> f64 {
+pub fn allocator_profile(binned: bool, t: &mut Tally) -> f64 {
     let cfg = MpiAmConfig {
         binned_allocator: binned,
         ..MpiAmConfig::optimized()
@@ -127,15 +124,20 @@ pub fn allocator_profile(binned: bool) -> f64 {
             }
         });
     }
-    m.run().expect("allocator ablation completes");
+    t.add(&m.run().expect("allocator ablation completes"));
     let v = *out.lock();
     v
 }
 
 /// FT kernel time (s) with the generic vs tuned all-to-all.
-pub fn collective_profile() -> (f64, f64) {
-    let generic = run_kernel(Kernel::Ft, MpiImpl::AmOptimized, 16, 5);
-    let tuned = run_kernel(Kernel::Ft, MpiImpl::AmTuned, 16, 5);
+pub fn collective_profile(t: &mut Tally) -> (f64, f64) {
+    let mut ft = |imp| {
+        let (r, run) = run_kernel_on(Kernel::Ft, imp, SpConfig::thin(16), 5, NasClass::Reduced);
+        t.add(&run);
+        r
+    };
+    let generic = ft(MpiImpl::AmOptimized);
+    let tuned = ft(MpiImpl::AmTuned);
     assert!(
         (generic.checksum - tuned.checksum).abs() <= 1e-9 * generic.checksum.abs(),
         "tuned collectives changed the numerics"
@@ -144,11 +146,10 @@ pub fn collective_profile() -> (f64, f64) {
 }
 
 /// Polling vs interrupt-driven server RTT (µs) and server poll counts.
-pub fn reception_profile() -> ((f64, u64), (f64, u64)) {
-    let run = |interrupts: bool| {
-        let out = Arc::new(Mutex::new((0.0f64, 0u64)));
+pub fn reception_profile(t: &mut Tally) -> ((f64, u64), (f64, u64)) {
+    let mut run = |interrupts: bool| {
+        let out = Arc::new(Mutex::new(0.0f64));
         let out2 = out.clone();
-        let out3 = out.clone();
         let mut m = AmMachine::new(SpConfig::thin(2), AmConfig::default(), 42);
         let iters = 60u32;
         m.spawn("client", St::default(), move |am: &mut Am<'_, St>| {
@@ -161,7 +162,7 @@ pub fn reception_profile() -> ((f64, u64), (f64, u64)) {
                 am.request_1(1, 0, 0);
                 am.poll_until(move |s| s.count >= i + 2);
             }
-            out2.lock().0 = (am.now() - t0).as_us() / iters as f64;
+            *out2.lock() = (am.now() - t0).as_us() / iters as f64;
         });
         m.spawn("server", St::default(), move |am: &mut Am<'_, St>| {
             am.register(pong);
@@ -171,11 +172,11 @@ pub fn reception_profile() -> ((f64, u64), (f64, u64)) {
             } else {
                 am.poll_until(move |s| s.count > iters);
             }
-            out3.lock().1 = am.stats().polls;
         });
-        m.run().expect("reception ablation completes");
-        let v = *out.lock();
-        v
+        let report = m.run().expect("reception ablation completes");
+        t.add(&report);
+        let rtt = *out.lock();
+        (rtt, report.am_stats[1].polls)
     };
     fn pong(env: &mut AmEnv<'_, St>, _args: AmArgs) {
         env.state.count += 1;

@@ -7,6 +7,7 @@ use sp_am::AmConfig;
 use sp_bench::ablation;
 
 fn main() {
+    let mut tally = sp_bench::Tally::default();
     println!("Ablations of SP AM / MPI-AM design choices\n");
 
     // ---- chunk size (paper: 36 packets = 8064 bytes) -------------------
@@ -22,7 +23,7 @@ fn main() {
             window_reply: 2 * chunk + 4,
             ..AmConfig::default()
         };
-        let (bw, lat) = ablation::am_profile(SpConfig::thin(2), cfg);
+        let (bw, lat) = ablation::am_profile(SpConfig::thin(2), cfg, &mut tally);
         let mark = if chunk == 36 { "  <- paper" } else { "" };
         println!("{chunk:>10}  {bw:>12.2}  {lat:>16.0}{mark}");
     }
@@ -43,7 +44,7 @@ fn main() {
             window_reply: window + 4,
             ..AmConfig::default()
         };
-        let (bw, lat) = ablation::am_profile(SpConfig::thin(2), cfg);
+        let (bw, lat) = ablation::am_profile(SpConfig::thin(2), cfg, &mut tally);
         let mark = if window == 72 { "  <- paper" } else { "" };
         println!("{window:>10}  {bw:>12.2}  {lat:>16.0}{mark}");
     }
@@ -61,7 +62,7 @@ fn main() {
             doorbell_batch: batch,
             ..AmConfig::default()
         };
-        let (bw, lat) = ablation::am_profile(SpConfig::thin(2), cfg);
+        let (bw, lat) = ablation::am_profile(SpConfig::thin(2), cfg, &mut tally);
         let mark = if batch == 8 { "  <- default" } else { "" };
         println!("{batch:>10}  {bw:>12.2}  {lat:>16.0}{mark}");
     }
@@ -77,7 +78,7 @@ fn main() {
         "div", "explicit acks", "done at (us)"
     );
     for div in [2u32, 4, 8, 16] {
-        let (acks, t) = ablation::ack_threshold_profile(div);
+        let (acks, t) = ablation::ack_threshold_profile(div, &mut tally);
         let mark = if div == 4 { "  <- paper" } else { "" };
         println!("{div:>10}  {acks:>14}  {t:>14.0}{mark}");
     }
@@ -87,8 +88,8 @@ fn main() {
 
     // ---- MPI binned allocator (paper §4.2) ------------------------------
     println!("MPI buffered-protocol allocator (256-byte messages):");
-    let ff = ablation::allocator_profile(false);
-    let bins = ablation::allocator_profile(true);
+    let ff = ablation::allocator_profile(false, &mut tally);
+    let bins = ablation::allocator_profile(true, &mut tally);
     println!("{:>20}  {:>14}", "allocator", "us/message");
     println!("{:>20}  {:>14.2}", "first-fit", ff);
     println!(
@@ -99,7 +100,7 @@ fn main() {
 
     // ---- tuned collectives (paper §4.4 future work) ---------------------
     println!("FT kernel (16 ranks): generic MPICH Alltoall vs SP-tuned schedule:");
-    let (generic, tuned) = ablation::collective_profile();
+    let (generic, tuned) = ablation::collective_profile(&mut tally);
     println!("{:>20}  {:>12}", "alltoall", "FT time (s)");
     println!("{:>20}  {:>12.3}", "generic (MPICH)", generic);
     println!(
@@ -110,7 +111,7 @@ fn main() {
 
     // ---- polling vs interrupts (paper §1.1) ------------------------------
     println!("message reception mode (server side of a ping-pong):");
-    let ((poll_rtt, poll_polls), (int_rtt, int_polls)) = ablation::reception_profile();
+    let ((poll_rtt, poll_polls), (int_rtt, int_polls)) = ablation::reception_profile(&mut tally);
     println!("{:>12}  {:>10}  {:>12}", "mode", "RTT (us)", "server polls");
     println!(
         "{:>12}  {:>10.1}  {:>12}  <- the paper's choice",
@@ -119,5 +120,5 @@ fn main() {
     println!("{:>12}  {:>10.1}  {:>12}", "interrupts", int_rtt, int_polls);
     println!("interrupt dispatch (~35 us on AIX) dwarfs the 1.3 us poll — the reason");
     println!("the paper analyzes polling mode only (§1.1).");
-    sp_bench::print_engine_summary();
+    sp_bench::print_engine_summary(&tally);
 }

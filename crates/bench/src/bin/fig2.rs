@@ -35,7 +35,7 @@ fn main() {
         am.register(mark);
         am.poll_until(|s| s.done);
     });
-    m.run().expect("store completes");
+    let report = m.run().expect("store completes");
 
     let us = |ns: u64| ns as f64 / 1_000.0;
     println!("Figure 2: flow-control protocol — measured chunk pipeline");
@@ -100,5 +100,5 @@ fn main() {
     println!("\ninvariant checked: chunk N+2 is transmitted only after the ack for chunk N");
     println!("(\"initially, two chunks are transmitted and the next chunk is sent only when");
     println!("the previous to last chunk is acknowledged\" — paper Figure 2).");
-    sp_bench::print_engine_summary();
+    sp_bench::print_engine_summary(&sp_bench::Tally::from(&report));
 }

@@ -12,6 +12,7 @@ use std::sync::Arc;
 type Log = Vec<(sp_sim::Time, usize, &'static str)>;
 
 fn run_scenario(
+    tally: &mut sp_bench::Tally,
     title: &str,
     sender: impl Fn(&mut MpiAm<'_, '_>) + Send + Sync + 'static,
     receiver: impl Fn(&mut MpiAm<'_, '_>) + Send + Sync + 'static,
@@ -43,7 +44,7 @@ fn run_scenario(
             log.lock().extend_from_slice(mpi.protocol_log());
         });
     }
-    m.run().expect("scenario completes");
+    tally.add(&m.run().expect("scenario completes"));
     let mut log = log.lock().clone();
     log.sort_by_key(|&(t, _, _)| t);
     println!("--- {title} ---");
@@ -55,9 +56,11 @@ fn run_scenario(
 }
 
 fn main() {
+    let mut tally = sp_bench::Tally::default();
     println!("Figures 5/6: buffered and rendezvous protocols over AM (traced)\n");
 
     run_scenario(
+        &mut tally,
         "Figure 6 (left): buffered protocol — small message",
         |mpi| {
             mpi.send(&[0u8; 600], 1, 1);
@@ -68,6 +71,7 @@ fn main() {
     );
 
     run_scenario(
+        &mut tally,
         "Figure 5 (left): rendezvous — receive posted before the send",
         |mpi| {
             // Give the receiver time to post.
@@ -81,6 +85,7 @@ fn main() {
     );
 
     run_scenario(
+        &mut tally,
         "Figure 5 (right): rendezvous — receive posted after the send",
         |mpi| {
             let r = mpi.isend(&vec![0u8; 40_000], 1, 1);
@@ -104,5 +109,5 @@ fn main() {
     println!("late-posted rendezvous records the request and grants when the receive is");
     println!("posted — and the data store always launches from a poll, never from the");
     println!("grant handler (the ADI restriction the paper describes).");
-    sp_bench::print_engine_summary();
+    sp_bench::print_engine_summary(&tally);
 }

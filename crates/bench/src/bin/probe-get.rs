@@ -1,11 +1,12 @@
 //! Diagnostic: blocking 2 KB remote-read latency through the Split-C layer
 //! on SP AM vs SP MPL (investigating the mm 16x16 Table 5 relation).
 
-use sp_splitc::{run_spmd, Gas, GlobalPtr, Platform};
+use sp_splitc::{run_spmd_report, Gas, GlobalPtr, Platform};
 
 fn main() {
+    let mut tally = sp_bench::Tally::default();
     for platform in [Platform::SpAm, Platform::SpMpl] {
-        let out = run_spmd(platform, 2, 3, |g: &mut dyn Gas| {
+        let (out, report) = run_spmd_report(platform, 2, 3, |g: &mut dyn Gas| {
             let buf = g.alloc(2048);
             g.mem().write(buf.addr, &vec![7u8; 2048]);
             g.barrier();
@@ -30,11 +31,12 @@ fn main() {
                 0.0
             }
         });
+        tally.add(&report);
         println!(
             "{:>12}: {:.1} us per blocking 2KB read",
             platform.name(),
             out[0]
         );
     }
-    sp_bench::print_engine_summary();
+    sp_bench::print_engine_summary(&tally);
 }

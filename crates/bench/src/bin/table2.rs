@@ -3,7 +3,8 @@
 //! empty poll 1.3 µs, +1.8 µs per received message.
 
 fn main() {
-    let t = sp_bench::micro::table2();
+    let mut tally = sp_bench::Tally::default();
+    let t = sp_bench::micro::table2(&mut tally);
     println!("Table 2: cost of am_request_N / am_reply_N (microseconds)\n");
     println!("{:>14}  {:>6}  {:>6}  {:>6}  {:>6}", "N", 1, 2, 3, 4);
     println!("{}", "-".repeat(52));
@@ -23,5 +24,5 @@ fn main() {
         t.per_message
     );
     println!("\npaper: request 7.7 / 7.9 / 8.0 / 8.2, reply 4.0 / 4.1 / 4.3 / 4.4");
-    sp_bench::print_engine_summary();
+    sp_bench::print_engine_summary(&tally);
 }

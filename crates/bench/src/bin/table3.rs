@@ -2,8 +2,9 @@
 //! §2.3 round-trip details.
 
 fn main() {
+    let mut tally = sp_bench::Tally::default();
     let quick = sp_bench::quick();
-    let t = sp_bench::micro::table3(quick);
+    let t = sp_bench::micro::table3(quick, &mut tally);
     println!("Table 3: Performance Summary of SP AM and IBM MPL\n");
     println!("{:>42}  {:>10}  {:>10}", "Metric", "AM", "MPL");
     println!("{}", "-".repeat(68));
@@ -33,15 +34,15 @@ fn main() {
         t.am_rtt - t.raw_rtt
     );
     // Per-word growth (§2.3: ~0.5 us per extra word).
-    let (rtt1, _) = sp_bench::micro::am_round_trip(1, 60);
-    let (rtt4, _) = sp_bench::micro::am_round_trip(4, 60);
+    let (rtt1, _) = sp_bench::micro::am_round_trip(1, 60, &mut tally);
+    let (rtt4, _) = sp_bench::micro::am_round_trip(4, 60, &mut tally);
     println!(
         "per-word round-trip growth: {:.2} us/word (paper: ~0.5)",
         (rtt4 - rtt1) / 3.0
     );
-    let ex = sp_bench::micro::exchange_bandwidth(1 << 16, 1 << 19);
+    let ex = sp_bench::micro::exchange_bandwidth(1 << 16, 1 << 19, &mut tally);
     println!("exchange (bidirectional) aggregate bandwidth: {ex:.2} MB/s");
     println!("\npaper: RTT 51.0 vs 88.0; r_inf 34.3 vs 34.6; n1/2 async 260 vs ~2400*;");
     println!("       n1/2 blocking 2800 vs >3200*   (* OCR-reconstructed, see DESIGN.md)");
-    sp_bench::print_engine_summary();
+    sp_bench::print_engine_summary(&tally);
 }

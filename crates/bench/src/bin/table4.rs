@@ -2,11 +2,17 @@
 //! Meiko CS-2, U-Net/ATM cluster, and IBM SP.
 
 fn main() {
+    let mut tally = sp_bench::Tally::default();
     let quick = sp_bench::quick();
     let iters = if quick { 40 } else { 120 };
-    let (sp_rtt, _) = sp_bench::micro::am_round_trip(1, iters);
-    let sp_bw = sp_bench::micro::bandwidth(sp_bench::micro::BwMode::AsyncStore, 1 << 16, 1 << 19);
-    let rows = sp_bench::splitc_exp::table4(sp_rtt, sp_bw);
+    let (sp_rtt, _) = sp_bench::micro::am_round_trip(1, iters, &mut tally);
+    let sp_bw = sp_bench::micro::bandwidth(
+        sp_bench::micro::BwMode::AsyncStore,
+        1 << 16,
+        1 << 19,
+        &mut tally,
+    );
+    let rows = sp_bench::splitc_exp::table4(sp_rtt, sp_bw, &mut tally);
     println!("Table 4: machine performance characteristics\n");
     println!(
         "{:>12}  {:>20}  {:>12}  {:>14}  {:>10}",
@@ -21,5 +27,5 @@ fn main() {
     }
     println!("\npaper: CM-5 3us/12us/10MB/s; CS-2 11us/55us*/39MB/s; U-Net 13us*/66us/14MB/s;");
     println!("       SP ~6us/51us/34MB/s   (* OCR-reconstructed, see DESIGN.md)");
-    sp_bench::print_engine_summary();
+    sp_bench::print_engine_summary(&tally);
 }

@@ -4,8 +4,9 @@
 use sp_splitc::Platform;
 
 fn main() {
+    let mut tally = sp_bench::Tally::default();
     let quick = sp_bench::quick();
-    let data = sp_bench::splitc_exp::table5(quick);
+    let data = sp_bench::splitc_exp::table5(quick, &mut tally);
     println!("Table 5: Split-C benchmark execution times, 8 processors (seconds, scaled class)\n");
     print!("{:>12}", "Benchmark");
     for p in Platform::all() {
@@ -53,5 +54,5 @@ fn main() {
     }
     println!("expected shape (paper): SP bars lowest cpu (fastest processor); SP AM net");
     println!("below SP MPL net everywhere, drastically so for the sm sort variants.");
-    sp_bench::print_engine_summary();
+    sp_bench::print_engine_summary(&tally);
 }

@@ -5,16 +5,17 @@
 //! reduced class.
 
 fn main() {
+    let mut tally = sp_bench::Tally::default();
     let ranks = 16;
     // `table6 --parallel` runs only the parallel engine check, with the
     // per-shard profile and a Perfetto trace of the 4-shard run — the
     // shard-telemetry smoke path, skipping the full table regeneration.
     if std::env::args().any(|a| a == "--parallel") {
-        parallel_engine_check(ranks, true);
-        sp_bench::print_engine_summary();
+        parallel_engine_check(ranks, true, &mut tally);
+        sp_bench::print_engine_summary(&tally);
         return;
     }
-    let rows = sp_bench::nas_exp::table6(ranks);
+    let rows = sp_bench::nas_exp::table6(ranks, &mut tally);
     println!("Table 6: NAS kernel run times on {ranks} thin nodes (scaled class, seconds)\n");
     println!(
         "{:>10}  {:>10}  {:>10}  {:>8}  {:>10}",
@@ -36,7 +37,7 @@ fn main() {
     println!("identical numerics.");
 
     let quick = sp_bench::quick();
-    let points = sp_bench::nas_exp::class_sweep(ranks, quick);
+    let points = sp_bench::nas_exp::class_sweep(ranks, quick, &mut tally);
     println!(
         "\nClass sweep: MPI-AM on {ranks} thin nodes{}\n",
         if quick { " (quick: reduced only)" } else { "" }
@@ -57,7 +58,7 @@ fn main() {
         );
     }
 
-    let wides = sp_bench::nas_exp::wide_sweep(ranks, quick);
+    let wides = sp_bench::nas_exp::wide_sweep(ranks, quick, &mut tally);
     println!(
         "\nWide-node sweep: MPI-AM on {ranks} thin vs wide nodes{}\n",
         if quick { " (quick: reduced only)" } else { "" }
@@ -81,8 +82,8 @@ fn main() {
     println!("\nexpected shape: the compute charge is the same Power2 rate on both flavours,");
     println!("so wide nodes (faster memcpy and PIO) shrink the comm share and total time.");
 
-    parallel_engine_check(ranks, false);
-    sp_bench::print_engine_summary();
+    parallel_engine_check(ranks, false, &mut tally);
+    sp_bench::print_engine_summary(&tally);
 }
 
 /// Validate the sharded engine against the serial one on a real kernel:
@@ -91,18 +92,20 @@ fn main() {
 /// virtual time, event count, or the observable-state hash is a bug.
 /// With `export`, the 4-shard run also writes a Perfetto trace (per-shard
 /// tracks with lookahead-window and barrier-wait spans) next to the cwd.
-fn parallel_engine_check(ranks: usize, export: bool) {
+fn parallel_engine_check(ranks: usize, export: bool, tally: &mut sp_bench::Tally) {
     use sp_mpi::runner::MpiImpl;
     use sp_nas::{Kernel, NasClass};
 
-    let run = |shards: usize| {
-        sp_nas::run_kernel_on(
+    let mut run = |shards: usize| {
+        let (r, report) = sp_nas::run_kernel_on(
             Kernel::Mg,
             MpiImpl::AmOptimized,
             sp_adapter::SpConfig::thin(ranks).parallel(shards),
             5,
             NasClass::Reduced,
-        )
+        );
+        tally.add(&report);
+        (r, report)
     };
     let (rs, serial) = run(1);
     if export {
@@ -133,7 +136,7 @@ fn parallel_engine_check(ranks: usize, export: bool) {
             s.shard, s.nodes, s.events, s.sync_events
         );
     }
-    if let Some(p) = &sp_sim::stats::last_parallel_profile() {
+    if let Some(p) = &parallel.profile {
         println!(
             "\n  shard profile ({} windows, {} ns of windowed virtual time):",
             p.windows, p.window_ns

@@ -26,6 +26,7 @@ use sp_bench::{quick, topo_exp};
 use std::io::Write;
 
 fn main() {
+    let mut tally = sp_bench::Tally::default();
     let args: Vec<String> = std::env::args().collect();
     if let Some(i) = args.iter().position(|a| a == "--parallel") {
         let shards: usize = args
@@ -35,13 +36,13 @@ fn main() {
                 eprintln!("topo: --parallel needs a shard count");
                 std::process::exit(1);
             });
-        if !parallel_fault_check(shards) {
+        if !parallel_fault_check(shards, &mut tally) {
             std::process::exit(1);
         }
-        sp_bench::print_engine_summary();
+        sp_bench::print_engine_summary(&tally);
         return;
     }
-    let points = topo_exp::run(quick());
+    let points = topo_exp::run(quick(), &mut tally);
 
     println!("one-word RTT and streaming bandwidth vs topology (node 0 <-> far node)\n");
     println!(
@@ -74,11 +75,11 @@ fn main() {
     // shows up as its own pair of segments, each one hop_latency.
     let (label, cfg, dst) = topo_exp::configs().remove(1);
     println!("\n==== breakdown: {label} ====");
-    println!("{}", topo_exp::traced_round_trip(&cfg, dst, 4));
+    println!("{}", topo_exp::traced_round_trip(&cfg, dst, 4, &mut tally));
 
     // Hot-spot congestion: k frame-0 senders hammer one frame pair, under
     // both routing policies.
-    let (rr, ad) = topo_exp::congestion(quick());
+    let (rr, ad) = topo_exp::congestion(quick(), &mut tally);
     println!(
         "==== hot-spot congestion: {} senders x 1 frame pair ====\n",
         rr.senders
@@ -123,7 +124,7 @@ fn main() {
     }
 
     // Fault latency: the same machine, but cable lane 0 dies mid-run.
-    let (frr, fad) = topo_exp::fault_latency(quick());
+    let (frr, fad) = topo_exp::fault_latency(quick(), &mut tally);
     println!(
         "\n==== fault latency: cable lane 0 killed at {} us ====\n",
         topo_exp::FAULT_KILL_AT_NS as f64 / 1_000.0
@@ -167,7 +168,7 @@ fn main() {
 
     // Loss recovery: the same seeded 15% drop window crossed by a bulk
     // store under the legacy go-back-N and the adaptive RTO+SACK modes.
-    let (leg, adp) = topo_exp::loss_recovery(quick());
+    let (leg, adp) = topo_exp::loss_recovery(quick(), &mut tally);
     println!("\n==== loss recovery: seeded 15% drop window, legacy vs adaptive ====\n");
     println!(
         "{:<10} {:>12} {:>10} {:>8} {:>6} {:>9} {:>18}",
@@ -232,7 +233,7 @@ fn main() {
         }
     }
 
-    sp_bench::print_engine_summary();
+    sp_bench::print_engine_summary(&tally);
 }
 
 /// The dead-cable experiment, serial vs `shards`-way sharded, round-robin
@@ -241,11 +242,11 @@ fn main() {
 /// and the per-link drop injectors classify at the cables' owning shard,
 /// so divergence here means the conservative-parallel engine broke
 /// serial-equivalence under faults.
-fn parallel_fault_check(shards: usize) -> bool {
+fn parallel_fault_check(shards: usize, tally: &mut sp_bench::Tally) -> bool {
     let iters = if quick() { 12 } else { 32 };
     let rr = sp_adapter::RoutePolicy::RoundRobin;
-    let serial = topo_exp::fault_run(rr, 8, iters);
-    let sharded = topo_exp::fault_run_sharded(rr, 8, iters, shards);
+    let serial = topo_exp::fault_run(rr, 8, iters, tally);
+    let sharded = topo_exp::fault_run_sharded(rr, 8, iters, shards, tally);
     println!(
         "==== parallel fault check: cable lane 0 killed at {} us, {shards} shards ====\n",
         topo_exp::FAULT_KILL_AT_NS as f64 / 1_000.0

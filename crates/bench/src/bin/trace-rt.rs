@@ -54,5 +54,5 @@ fn main() {
         out,
         json.len()
     );
-    sp_bench::print_engine_summary();
+    sp_bench::print_engine_summary(&sp_bench::Tally::from(&report));
 }

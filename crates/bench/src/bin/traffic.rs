@@ -25,6 +25,7 @@ use sp_traffic::{run_traffic, saturation_sweep, Incast, LoadPoint, TrafficConfig
 use std::io::Write;
 
 fn main() {
+    let mut tally = sp_bench::Tally::default();
     let args: Vec<String> = std::env::args().collect();
     let shards: usize = match args.iter().position(|a| a == "--parallel") {
         Some(i) => args
@@ -67,6 +68,9 @@ fn main() {
     for policy in [RoutePolicy::RoundRobin, RoutePolicy::Adaptive] {
         let sp = sp.clone().routed(policy).parallel(shards);
         let points = saturation_sweep(&base, &sp, scales);
+        for p in &points {
+            tally.add(&p.report);
+        }
         let engine = match points[0].report.shards {
             1 => "serial".to_string(),
             n => format!("{n} shards"),
@@ -144,6 +148,7 @@ fn main() {
     println!("{}", "-".repeat(54));
     for policy in [RoutePolicy::RoundRobin, RoutePolicy::Adaptive] {
         let r = run_traffic(&incast_cfg, sp.clone().routed(policy).parallel(shards));
+        tally.add(&r);
         println!(
             "{:<12} {:>10.2} {:>10.2} {:>10.2} {:>8}",
             format!("{policy:?}"),
@@ -172,7 +177,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    sp_bench::print_engine_summary();
+    sp_bench::print_engine_summary(&tally);
 }
 
 /// The headline read of the sweep: where each policy's goodput stops

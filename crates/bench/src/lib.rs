@@ -7,7 +7,10 @@
 //!
 //! Everything here measures **virtual time** on the simulated SP (or LogGP
 //! machines); `cargo bench` (Criterion) separately measures the *wall
-//! clock* performance of the implementation's hot data structures.
+//! clock* performance of the implementation's hot data structures. Each
+//! experiment function also adds the report of every run it makes to a
+//! caller's [`Tally`], whose host-side totals the binaries print with
+//! [`print_engine_summary`].
 
 #![warn(missing_docs)]
 
@@ -17,8 +20,11 @@ pub mod micro;
 pub mod mpi_exp;
 pub mod nas_exp;
 pub mod splitc_exp;
+mod tally;
 pub mod topo_exp;
 pub mod trace_rt;
+
+pub use tally::Tally;
 
 /// Default node count for the point-to-point experiments.
 pub const PAIR: usize = 2;
@@ -28,20 +34,18 @@ pub fn quick() -> bool {
     std::env::var("SP_BENCH_QUICK").is_ok_and(|v| v == "1")
 }
 
-/// Print the cumulative engine throughput of every simulation this binary
-/// ran (wall-clock + events/sec) — called at the end of each experiment
-/// binary so simulator-performance regressions show up in ordinary runs.
-pub fn print_engine_summary() {
-    println!("\n[engine] {}", sp_sim::stats::summary());
+/// Print the engine, drop, reliability and (if any run was sharded)
+/// parallel-engine totals of the runs folded into `t` — called at the end
+/// of each experiment binary so simulator-performance regressions show up
+/// in ordinary runs.
+pub fn print_engine_summary(t: &Tally) {
+    println!("\n[engine] {}", t.engine_line());
     println!(
         "[engine] drops: {} fifo-overflow, {} switch ({} duplicated); wakes coalesced: {}",
-        sp_adapter::gstats::dropped_overflow(),
-        sp_switch::gstats::dropped(),
-        sp_switch::gstats::duplicated(),
-        sp_sim::stats::wakes_coalesced(),
+        t.dropped_overflow, t.switch_dropped, t.switch_duplicated, t.wakes_coalesced
     );
-    println!("[reliability] {}", sp_am::gstats::summary());
-    if let Some(par) = sp_sim::stats::parallel_summary() {
+    println!("[reliability] {}", t.reliability_line());
+    if let Some(par) = t.parallel_line() {
         println!("[parallel] {par}");
     }
 }

@@ -3,6 +3,7 @@
 //! Table 3 (the summary).
 
 use crate::fmt::Series;
+use crate::Tally;
 use parking_lot::Mutex;
 use sp_adapter::{host, SpConfig, SpWorld};
 use sp_am::{Am, AmArgs, AmConfig, AmEnv, AmMachine, GlobalPtr};
@@ -40,7 +41,7 @@ fn done_handler(env: &mut AmEnv<'_, PingSt>, _args: AmArgs) {
 
 /// One-word (`words` = 1..4) AM round-trip time in µs, plus the measured
 /// `am_reply_N` call cost.
-pub fn am_round_trip(words: u8, iters: u32) -> (f64, f64) {
+pub fn am_round_trip(words: u8, iters: u32, t: &mut Tally) -> (f64, f64) {
     let mut m = AmMachine::new(SpConfig::thin(2), AmConfig::default(), 42);
     let out = Arc::new(Mutex::new((0.0f64, 0.0f64)));
     let out2 = out.clone();
@@ -78,13 +79,13 @@ pub fn am_round_trip(words: u8, iters: u32) -> (f64, f64) {
             out3.lock().1 = st.reply_cost_ns as f64 / st.replies as f64 / 1000.0;
         },
     );
-    m.run().expect("ping-pong completes");
+    t.add(&m.run().expect("ping-pong completes"));
     let v = *out.lock();
     v
 }
 
 /// Raw (protocol-less) one-word round trip over the bare adapter, µs.
-pub fn raw_round_trip(iters: u32) -> f64 {
+pub fn raw_round_trip(iters: u32, t: &mut Tally) -> f64 {
     let mut sim = Sim::new(SpWorld::<u8>::new(SpConfig::thin(2)), 42);
     let out = Arc::new(Mutex::new(0.0f64));
     let out2 = out.clone();
@@ -105,13 +106,13 @@ pub fn raw_round_trip(iters: u32) -> f64 {
             host::send_packet(ctx, 0, 16, 0).expect("fifo space");
         }
     });
-    sim.run().expect("raw ping-pong completes");
+    t.add(&sim.run().expect("raw ping-pong completes"));
     let v = *out.lock();
     v
 }
 
 /// MPL one-word round trip (`mpc_bsend`/`mpc_brecv`), µs.
-pub fn mpl_round_trip(iters: u32) -> f64 {
+pub fn mpl_round_trip(iters: u32, t: &mut Tally) -> f64 {
     let mut m = MplMachine::new(SpConfig::thin(2), MplConfig::default(), 42);
     let out = Arc::new(Mutex::new(0.0f64));
     let out2 = out.clone();
@@ -131,7 +132,7 @@ pub fn mpl_round_trip(iters: u32) -> f64 {
             mpl.bsend(0, 1, &[0; 4]);
         }
     });
-    m.run().expect("MPL ping-pong completes");
+    t.add(&m.run().expect("MPL ping-pong completes"));
     let v = *out.lock();
     v
 }
@@ -153,7 +154,7 @@ pub struct Table2 {
 }
 
 /// Measure Table 2.
-pub fn table2() -> Table2 {
+pub fn table2(t: &mut Tally) -> Table2 {
     let mut request = [0.0f64; 4];
     let mut reply = [0.0f64; 4];
     for (i, words) in (1..=4u8).enumerate() {
@@ -186,10 +187,10 @@ pub fn table2() -> Table2 {
             am.poll_until(|s| s.pongs >= 12);
             am.barrier();
         });
-        m.run().expect("request-cost run completes");
+        t.add(&m.run().expect("request-cost run completes"));
         request[i] = *out.lock();
         // Reply cost comes from the ping-pong's handler-side timer.
-        let (_, r) = am_round_trip(words, 40);
+        let (_, r) = am_round_trip(words, 40, t);
         reply[i] = r;
     }
 
@@ -231,7 +232,7 @@ pub fn table2() -> Table2 {
             am.barrier();
         },
     );
-    m.run().expect("poll-cost run completes");
+    t.add(&m.run().expect("poll-cost run completes"));
     let (poll_empty, per_message) = *out.lock();
 
     Table2 {
@@ -277,17 +278,17 @@ impl BwMode {
 
 /// One-way bandwidth (MB/s of payload) moving ~`total` bytes in `n`-byte
 /// transfers using `mode`.
-pub fn bandwidth(mode: BwMode, n: usize, total: usize) -> f64 {
+pub fn bandwidth(mode: BwMode, n: usize, total: usize, t: &mut Tally) -> f64 {
     let count = (total / n).clamp(4, 8192) as u32;
     match mode {
         BwMode::SyncStore | BwMode::SyncGet | BwMode::AsyncStore | BwMode::AsyncGet => {
-            am_bandwidth(mode, n, count)
+            am_bandwidth(mode, n, count, t)
         }
-        BwMode::MplSendReply | BwMode::MplPipelined => mpl_bandwidth(mode, n, count),
+        BwMode::MplSendReply | BwMode::MplPipelined => mpl_bandwidth(mode, n, count, t),
     }
 }
 
-fn am_bandwidth(mode: BwMode, n: usize, count: u32) -> f64 {
+fn am_bandwidth(mode: BwMode, n: usize, count: u32, t: &mut Tally) -> f64 {
     let mut m = AmMachine::new(SpConfig::thin(2), AmConfig::default(), 42);
     let out = Arc::new(Mutex::new(0.0f64));
     let out2 = out.clone();
@@ -295,9 +296,6 @@ fn am_bandwidth(mode: BwMode, n: usize, count: u32) -> f64 {
         am.register(done_handler);
         let data = vec![0x5Au8; n];
         let local = am.alloc(n as u32);
-        if matches!(mode, BwMode::SyncGet | BwMode::AsyncGet) {
-            // Target publishes `n` bytes; we pull.
-        }
         am.barrier();
         let t0 = am.now();
         match mode {
@@ -352,12 +350,12 @@ fn am_bandwidth(mode: BwMode, n: usize, count: u32) -> f64 {
         am.barrier();
         am.barrier();
     });
-    m.run().expect("bandwidth run completes");
+    t.add(&m.run().expect("bandwidth run completes"));
     let v = *out.lock();
     v
 }
 
-fn mpl_bandwidth(mode: BwMode, n: usize, count: u32) -> f64 {
+fn mpl_bandwidth(mode: BwMode, n: usize, count: u32, t: &mut Tally) -> f64 {
     let mut m = MplMachine::new(SpConfig::thin(2), MplConfig::default(), 42);
     let out = Arc::new(Mutex::new(0.0f64));
     let out2 = out.clone();
@@ -402,7 +400,7 @@ fn mpl_bandwidth(mode: BwMode, n: usize, count: u32) -> f64 {
         }
         mpl.barrier();
     });
-    m.run().expect("MPL bandwidth run completes");
+    t.add(&m.run().expect("MPL bandwidth run completes"));
     let v = *out.lock();
     v
 }
@@ -412,7 +410,7 @@ fn mpl_bandwidth(mode: BwMode, n: usize, count: u32) -> f64 {
 /// rate in MB/s. The paper defers exchange measurements to the companion
 /// technical report (§2.4 footnote, Cornell TR 96-1571); included here for
 /// completeness.
-pub fn exchange_bandwidth(n: usize, total: usize) -> f64 {
+pub fn exchange_bandwidth(n: usize, total: usize, t: &mut Tally) -> f64 {
     let count = (total / n).clamp(4, 4096) as u32;
     let out = Arc::new(Mutex::new([0.0f64; 2]));
     let mut m = AmMachine::new(SpConfig::thin(2), AmConfig::default(), 42);
@@ -448,7 +446,7 @@ pub fn exchange_bandwidth(n: usize, total: usize) -> f64 {
             },
         );
     }
-    m.run().expect("exchange run completes");
+    t.add(&m.run().expect("exchange run completes"));
     let v = *out.lock();
     v[0] + v[1]
 }
@@ -466,7 +464,7 @@ pub fn fig3_sizes(quick: bool) -> Vec<usize> {
 }
 
 /// All six Figure 3 curves.
-pub fn fig3(quick: bool) -> Vec<Series> {
+pub fn fig3(quick: bool, t: &mut Tally) -> Vec<Series> {
     let sizes = fig3_sizes(quick);
     let total = if quick { 1 << 18 } else { 1 << 20 };
     [
@@ -482,7 +480,7 @@ pub fn fig3(quick: bool) -> Vec<Series> {
         label: mode.label().to_string(),
         points: sizes
             .iter()
-            .map(|&n| (n as f64, bandwidth(mode, n, total)))
+            .map(|&n| (n as f64, bandwidth(mode, n, total, t)))
             .collect(),
     })
     .collect()
@@ -526,17 +524,17 @@ pub struct Table3 {
 }
 
 /// Measure Table 3 (round trips + bandwidth summary).
-pub fn table3(quick: bool) -> Table3 {
+pub fn table3(quick: bool, t: &mut Tally) -> Table3 {
     let iters = if quick { 40 } else { 150 };
-    let (am_rtt, _) = am_round_trip(1, iters);
-    let mpl_rtt = mpl_round_trip(iters);
-    let raw_rtt = raw_round_trip(iters);
+    let (am_rtt, _) = am_round_trip(1, iters, t);
+    let mpl_rtt = mpl_round_trip(iters, t);
+    let raw_rtt = raw_round_trip(iters, t);
 
     let total = if quick { 1 << 18 } else { 1 << 20 };
-    let sweep = |mode: BwMode| -> Vec<(f64, f64)> {
+    let mut sweep = |mode: BwMode| -> Vec<(f64, f64)> {
         fig3_sizes(quick)
             .iter()
-            .map(|&n| (n as f64, bandwidth(mode, n, total)))
+            .map(|&n| (n as f64, bandwidth(mode, n, total, t)))
             .collect()
     };
     let async_store = sweep(BwMode::AsyncStore);

@@ -2,10 +2,11 @@
 //! point latency/bandwidth on thin and wide nodes, four layers).
 
 use crate::fmt::Series;
+use crate::Tally;
 use parking_lot::Mutex;
 use sp_adapter::SpConfig;
 use sp_am::{Am, AmArgs, AmConfig, AmEnv, AmMachine, GlobalPtr};
-use sp_mpi::runner::{run_mpi, MpiImpl};
+use sp_mpi::runner::{run_mpi_report, MpiImpl};
 use sp_mpi::{Mpi, MpiAm, MpiAmConfig, MpiSt};
 use std::sync::Arc;
 
@@ -58,7 +59,7 @@ impl Protocol {
 
 /// Pipelined 2-rank MPI bandwidth (MB/s) at message size `n` under a
 /// forced protocol.
-pub fn protocol_bandwidth(protocol: Protocol, n: usize, total: usize) -> f64 {
+pub fn protocol_bandwidth(protocol: Protocol, n: usize, total: usize, t: &mut Tally) -> f64 {
     let cfg = protocol.config();
     let count = (total / n).clamp(4, 2048) as u32;
     let out = Arc::new(Mutex::new(0.0f64));
@@ -96,13 +97,13 @@ pub fn protocol_bandwidth(protocol: Protocol, n: usize, total: usize) -> f64 {
             }
         });
     }
-    m.run().expect("protocol bandwidth run completes");
+    t.add(&m.run().expect("protocol bandwidth run completes"));
     let v = *out.lock();
     v
 }
 
 /// Figure 7: bandwidth of the three protocols over message size.
-pub fn fig7(quick: bool) -> Vec<Series> {
+pub fn fig7(quick: bool, t: &mut Tally) -> Vec<Series> {
     let sizes: Vec<usize> = {
         let mut v = Vec::new();
         let mut n = 256;
@@ -119,7 +120,7 @@ pub fn fig7(quick: bool) -> Vec<Series> {
             label: p.label().to_string(),
             points: sizes
                 .iter()
-                .map(|&n| (n as f64, protocol_bandwidth(p, n, total)))
+                .map(|&n| (n as f64, protocol_bandwidth(p, n, total, t)))
                 .collect(),
         })
         .collect()
@@ -164,7 +165,7 @@ impl Layer {
 
 /// Per-hop time (µs) sending an `n`-byte message around a 4-node ring
 /// (`laps` full laps), as in §4.3.
-pub fn ring_per_hop(layer: Layer, n: usize, wide: bool, laps: u32) -> f64 {
+pub fn ring_per_hop(layer: Layer, n: usize, wide: bool, laps: u32, t: &mut Tally) -> f64 {
     let nodes = 4;
     let sp = if wide {
         SpConfig::wide(nodes)
@@ -172,18 +173,15 @@ pub fn ring_per_hop(layer: Layer, n: usize, wide: bool, laps: u32) -> f64 {
         SpConfig::thin(nodes)
     };
     match layer {
-        Layer::AmStore => am_store_ring(sp, n, laps),
-        Layer::MpiAmUnopt => mpi_ring(MpiImpl::AmUnoptimized, sp, n, laps),
-        Layer::MpiAmOpt => mpi_ring(MpiImpl::AmOptimized, sp, n, laps),
-        Layer::MpiF => mpi_ring(MpiImpl::MpiF, sp, n, laps),
+        Layer::AmStore => am_store_ring(sp, n, laps, t),
+        Layer::MpiAmUnopt => mpi_ring(MpiImpl::AmUnoptimized, sp, n, laps, t),
+        Layer::MpiAmOpt => mpi_ring(MpiImpl::AmOptimized, sp, n, laps, t),
+        Layer::MpiF => mpi_ring(MpiImpl::MpiF, sp, n, laps, t),
     }
 }
 
-fn mpi_ring(imp: MpiImpl, sp: SpConfig, n: usize, laps: u32) -> f64 {
-    let nodes = sp.nodes;
-    let out = Arc::new(Mutex::new(0.0f64));
-    let out2 = out.clone();
-    run_mpi(imp, sp, 3, move |mpi: &mut dyn Mpi| {
+fn mpi_ring(imp: MpiImpl, sp: SpConfig, n: usize, laps: u32, t: &mut Tally) -> f64 {
+    let (per_hop, run) = run_mpi_report(imp, sp, 3, move |mpi: &mut dyn Mpi| {
         let me = mpi.rank();
         let p = mpi.size();
         let right = (me + 1) % p;
@@ -200,15 +198,12 @@ fn mpi_ring(imp: MpiImpl, sp: SpConfig, n: usize, laps: u32) -> f64 {
                 mpi.send(&d, right, 1);
             }
         }
-        if me == 0 {
-            *out2.lock() = (mpi.now() - t0).as_us() / (laps as usize * p) as f64;
-        }
+        let hop_us = (mpi.now() - t0).as_us() / (laps as usize * p) as f64;
         mpi.barrier();
-        0u8
+        hop_us
     });
-    let _ = nodes;
-    let v = *out.lock();
-    v
+    t.add(&run);
+    per_hop[0]
 }
 
 #[derive(Default)]
@@ -220,7 +215,7 @@ fn ring_handler(env: &mut AmEnv<'_, RingSt>, _args: AmArgs) {
     env.state.arrived += 1;
 }
 
-fn am_store_ring(sp: SpConfig, n: usize, laps: u32) -> f64 {
+fn am_store_ring(sp: SpConfig, n: usize, laps: u32, t: &mut Tally) -> f64 {
     let nodes = sp.nodes;
     let out = Arc::new(Mutex::new(0.0f64));
     let mut m = AmMachine::new(sp, AmConfig::default(), 13);
@@ -268,13 +263,13 @@ fn am_store_ring(sp: SpConfig, n: usize, laps: u32) -> f64 {
             },
         );
     }
-    m.run().expect("am_store ring completes");
+    t.add(&m.run().expect("am_store ring completes"));
     let v = *out.lock();
     v
 }
 
 /// Figures 8/10: per-hop latency over small sizes.
-pub fn fig_latency(wide: bool, quick: bool) -> Vec<Series> {
+pub fn fig_latency(wide: bool, quick: bool, t: &mut Tally) -> Vec<Series> {
     let sizes: Vec<usize> = if quick {
         vec![4, 64, 256, 1024]
     } else {
@@ -287,14 +282,14 @@ pub fn fig_latency(wide: bool, quick: bool) -> Vec<Series> {
             label: layer.label().to_string(),
             points: sizes
                 .iter()
-                .map(|&n| (n as f64, ring_per_hop(layer, n, wide, laps)))
+                .map(|&n| (n as f64, ring_per_hop(layer, n, wide, laps, t)))
                 .collect(),
         })
         .collect()
 }
 
 /// Figures 9/11: per-hop bandwidth over larger sizes.
-pub fn fig_bandwidth(wide: bool, quick: bool) -> Vec<Series> {
+pub fn fig_bandwidth(wide: bool, quick: bool, t: &mut Tally) -> Vec<Series> {
     let sizes: Vec<usize> = if quick {
         vec![1 << 10, 1 << 13, 1 << 16]
     } else {
@@ -318,7 +313,7 @@ pub fn fig_bandwidth(wide: bool, quick: bool) -> Vec<Series> {
             points: sizes
                 .iter()
                 .map(|&n| {
-                    let hop_us = ring_per_hop(layer, n, wide, laps);
+                    let hop_us = ring_per_hop(layer, n, wide, laps, t);
                     (n as f64, n as f64 / hop_us) // bytes/µs = MB/s
                 })
                 .collect(),

@@ -2,10 +2,24 @@
 //! scaled-up class sweep that exercises the fast-pathed engine on
 //! S/W-sized grids (ROADMAP: "scale the NAS grids back up").
 
+use crate::Tally;
 use sp_adapter::SpConfig;
-use sp_mpi::runner::MpiImpl;
-use sp_nas::{run_kernel, run_kernel_class, run_kernel_on, Kernel, NasClass, CHARGED_COMP_NS};
-use std::sync::atomic::Ordering;
+use sp_mpi::runner::{MpiImpl, MpiRunReport};
+use sp_nas::{run_kernel_on, Kernel, NasClass, NasResult};
+
+/// Run `kernel` at `class` on `sp` hardware under `imp` (seed 5, as in
+/// every Table 6 run) and fold the run into `t`.
+fn run(
+    kernel: Kernel,
+    imp: MpiImpl,
+    sp: SpConfig,
+    class: NasClass,
+    t: &mut Tally,
+) -> (NasResult, MpiRunReport) {
+    let (r, report) = run_kernel_on(kernel, imp, sp, 5, class);
+    t.add(&report);
+    (r, report)
+}
 
 /// One Table 6 row.
 #[derive(Debug, Clone)]
@@ -21,12 +35,13 @@ pub struct NasRow {
 }
 
 /// Run Table 6 on `ranks` ranks.
-pub fn table6(ranks: usize) -> Vec<NasRow> {
+pub fn table6(ranks: usize, t: &mut Tally) -> Vec<NasRow> {
     Kernel::all()
         .into_iter()
         .map(|kernel| {
-            let f = run_kernel(kernel, MpiImpl::MpiF, ranks, 5);
-            let am = run_kernel(kernel, MpiImpl::AmOptimized, ranks, 5);
+            let thin = || SpConfig::thin(ranks);
+            let (f, _) = run(kernel, MpiImpl::MpiF, thin(), NasClass::Reduced, t);
+            let (am, _) = run(kernel, MpiImpl::AmOptimized, thin(), NasClass::Reduced, t);
             NasRow {
                 kernel,
                 mpif_s: f.time.as_secs(),
@@ -76,12 +91,12 @@ pub struct WidePoint {
 /// The wide-node sweep: each kernel at Class S and W (quick: the reduced
 /// class only) on MPI-AM, on thin vs wide nodes. NAS flops are charged at
 /// the fixed sustained Power2 rate regardless of node flavour, so the
-/// per-run delta of [`CHARGED_COMP_NS`] is the same on both; what moves
+/// run's summed [`NasResult::comp_ns`] is the same on both; what moves
 /// is the communication side, which prices through the wide CostModel's
 /// faster memory system and I/O bus. The comm fraction is
 /// `1 - comp_ns / (ranks * end_ns)` — everything that is not charged
 /// computation, including wait time, counted against aggregate rank-time.
-pub fn wide_sweep(ranks: usize, quick: bool) -> Vec<WidePoint> {
+pub fn wide_sweep(ranks: usize, quick: bool, t: &mut Tally) -> Vec<WidePoint> {
     let classes: &[NasClass] = if quick {
         &[NasClass::Reduced]
     } else {
@@ -94,29 +109,41 @@ pub fn wide_sweep(ranks: usize, quick: bool) -> Vec<WidePoint> {
                 ("thin", SpConfig::thin(ranks)),
                 ("wide", SpConfig::wide(ranks)),
             ] {
-                let comp0 = CHARGED_COMP_NS.load(Ordering::Relaxed);
-                let (r, run) = run_kernel_on(kernel, MpiImpl::AmOptimized, sp, 5, class);
-                let comp_ns = CHARGED_COMP_NS.load(Ordering::Relaxed) - comp0;
-                let agg_ns = (ranks as u64 * run.end_ns).max(1);
-                let comp_frac = comp_ns as f64 / agg_ns as f64;
-                out.push(WidePoint {
-                    kernel,
-                    class,
-                    flavour,
-                    virtual_s: r.time.as_secs(),
-                    comp_frac,
-                    comm_frac: 1.0 - comp_frac,
-                });
+                out.push(wide_point(kernel, class, flavour, sp, t));
             }
         }
     }
     out
 }
 
-/// The class sweep: every kernel at every class on MPI-AM, with per-run
-/// engine throughput measured by deltaing the process-wide engine stats
-/// around each run. `quick` limits the sweep to the reduced class.
-pub fn class_sweep(ranks: usize, quick: bool) -> Vec<ClassPoint> {
+/// One point of [`wide_sweep`]: `kernel` at `class` on MPI-AM over `sp`
+/// (one rank per node), with the comp/comm split taken from that run's
+/// own compute charge and end time.
+pub fn wide_point(
+    kernel: Kernel,
+    class: NasClass,
+    flavour: &'static str,
+    sp: SpConfig,
+    t: &mut Tally,
+) -> WidePoint {
+    let ranks = sp.nodes as u64;
+    let (r, report) = run(kernel, MpiImpl::AmOptimized, sp, class, t);
+    let agg_ns = (ranks * report.end_ns).max(1);
+    let comp_frac = r.comp_ns as f64 / agg_ns as f64;
+    WidePoint {
+        kernel,
+        class,
+        flavour,
+        virtual_s: r.time.as_secs(),
+        comp_frac,
+        comm_frac: 1.0 - comp_frac,
+    }
+}
+
+/// The class sweep: every kernel at every class on MPI-AM, with each
+/// run's own event count and engine throughput. `quick` limits the sweep
+/// to the reduced class.
+pub fn class_sweep(ranks: usize, quick: bool, t: &mut Tally) -> Vec<ClassPoint> {
     let classes: &[NasClass] = if quick {
         &[NasClass::Reduced]
     } else {
@@ -125,17 +152,14 @@ pub fn class_sweep(ranks: usize, quick: bool) -> Vec<ClassPoint> {
     let mut out = Vec::new();
     for &class in classes {
         for kernel in Kernel::all() {
-            let (_, ev0, wall0) = sp_sim::stats::snapshot();
-            let r = run_kernel_class(kernel, MpiImpl::AmOptimized, ranks, 5, class);
-            let (_, ev1, wall1) = sp_sim::stats::snapshot();
-            let events = ev1 - ev0;
-            let wall = (wall1 - wall0).as_secs_f64();
+            let sp = SpConfig::thin(ranks);
+            let (r, report) = run(kernel, MpiImpl::AmOptimized, sp, class, t);
             out.push(ClassPoint {
                 kernel,
                 class,
                 virtual_s: r.time.as_secs(),
-                events,
-                events_per_sec: events as f64 / wall.max(1e-9),
+                events: report.events,
+                events_per_sec: report.events as f64 / report.wall.as_secs_f64().max(1e-9),
             });
         }
     }

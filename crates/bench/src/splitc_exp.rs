@@ -2,11 +2,12 @@
 //! (absolute benchmark times) and Figure 4 (normalized cpu/net split).
 
 use crate::fmt::Series;
+use crate::Tally;
 use parking_lot::Mutex;
 use sp_logp::{Logp, LogpParams, LogpWorld};
 use sp_sim::Sim;
 use sp_splitc::apps::{mm, radix_sort, sample_sort, MmConfig, RadixConfig, SampleConfig};
-use sp_splitc::{run_spmd, AppTimes, Gas, Platform};
+use sp_splitc::{run_spmd_report, AppTimes, Gas, Platform};
 use std::sync::Arc;
 
 /// Table 4 row: a machine's characteristics, configured and measured.
@@ -25,7 +26,7 @@ pub struct MachineRow {
 }
 
 /// Measure RTT and bandwidth of a LogGP machine model.
-fn logp_measurements(params: LogpParams) -> (f64, f64) {
+fn logp_measurements(params: LogpParams, t: &mut Tally) -> (f64, f64) {
     let rtt = Arc::new(Mutex::new((0.0f64, 0.0f64)));
     let rtt2 = rtt.clone();
     let mut sim = Sim::new(LogpWorld::new(2), 1);
@@ -73,20 +74,20 @@ fn logp_measurements(params: LogpParams) -> (f64, f64) {
         }
         lp.send(0, 2, [0; 4], &[]);
     });
-    sim.run().expect("logp measurement completes");
+    t.add(&sim.run().expect("logp measurement completes"));
     let v = *rtt.lock();
     v
 }
 
 /// Table 4: the four machines (SP measured on the detailed model).
-pub fn table4(sp_rtt: f64, sp_bw: f64) -> Vec<MachineRow> {
+pub fn table4(sp_rtt: f64, sp_bw: f64, t: &mut Tally) -> Vec<MachineRow> {
     let mut rows = Vec::new();
     for (params, cpu) in [
         (LogpParams::cm5(), "33 MHz Sparc-2"),
         (LogpParams::cs2(), "40 MHz Sparc"),
         (LogpParams::unet(), "50/60 MHz Sparc-20"),
     ] {
-        let (rtt, bw) = logp_measurements(params.clone());
+        let (rtt, bw) = logp_measurements(params.clone(), t);
         rows.push(MachineRow {
             name: params.name,
             cpu,
@@ -159,17 +160,17 @@ pub fn sort_keys_per_node(quick: bool) -> usize {
 
 /// Run one app on one platform (8 processors); returns the slowest node's
 /// times (total + comm).
-pub fn run_app(app: App, platform: Platform, quick: bool) -> AppTimes {
+pub fn run_app(app: App, platform: Platform, quick: bool, t: &mut Tally) -> AppTimes {
     let nodes = 8;
     let keys = sort_keys_per_node(quick);
-    let times: Vec<AppTimes> = match app {
+    let (times, report): (Vec<AppTimes>, _) = match app {
         App::MmLarge | App::MmSmall => {
             let cfg = if app == App::MmLarge {
                 MmConfig::large()
             } else {
                 MmConfig::small()
             };
-            run_spmd(platform, nodes, 5, move |g: &mut dyn Gas| {
+            run_spmd_report(platform, nodes, 5, move |g: &mut dyn Gas| {
                 mm::run(g, &cfg).0
             })
         }
@@ -178,7 +179,7 @@ pub fn run_app(app: App, platform: Platform, quick: bool) -> AppTimes {
                 keys_per_node: keys,
                 ..SampleConfig::paper(app == App::SmpSortLg)
             };
-            run_spmd(platform, nodes, 9, move |g: &mut dyn Gas| {
+            run_spmd_report(platform, nodes, 9, move |g: &mut dyn Gas| {
                 sample_sort::run(g, &cfg).0
             })
         }
@@ -187,11 +188,12 @@ pub fn run_app(app: App, platform: Platform, quick: bool) -> AppTimes {
                 keys_per_node: keys,
                 ..RadixConfig::paper(app == App::RdxSortLg)
             };
-            run_spmd(platform, nodes, 9, move |g: &mut dyn Gas| {
+            run_spmd_report(platform, nodes, 9, move |g: &mut dyn Gas| {
                 radix_sort::run(g, &cfg).0
             })
         }
     };
+    t.add(&report);
     times
         .into_iter()
         .max_by(|a, b| a.total.cmp(&b.total))
@@ -199,13 +201,13 @@ pub fn run_app(app: App, platform: Platform, quick: bool) -> AppTimes {
 }
 
 /// Table 5 / Figure 4 data: `times[app][platform]`.
-pub fn table5(quick: bool) -> Vec<(App, Vec<(Platform, AppTimes)>)> {
+pub fn table5(quick: bool, t: &mut Tally) -> Vec<(App, Vec<(Platform, AppTimes)>)> {
     App::all()
         .into_iter()
         .map(|app| {
             let row = Platform::all()
                 .into_iter()
-                .map(|p| (p, run_app(app, p, quick)))
+                .map(|p| (p, run_app(app, p, quick, t)))
                 .collect();
             (app, row)
         })

@@ -9,9 +9,10 @@
 //! hides the extra stage), which the sweep also demonstrates.
 
 use crate::trace_rt::{self, Breakdown};
+use crate::Tally;
 use parking_lot::Mutex;
 use sp_adapter::{RoutePolicy, SpConfig};
-use sp_am::{Am, AmArgs, AmConfig, AmEnv, AmMachine, AmStats, GlobalPtr, ReliabilityConfig};
+use sp_am::{Am, AmArgs, AmConfig, AmEnv, AmMachine, GlobalPtr, ReliabilityConfig};
 use sp_trace::{Digest, Kind, Record, TimeSeries, Track, TrackKind};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -56,20 +57,21 @@ pub fn configs() -> Vec<(String, SpConfig, usize)> {
 }
 
 /// Trace one steady-state round trip on `cfg` and return its breakdown.
-pub fn traced_round_trip(cfg: &SpConfig, dst: usize, iters: u32) -> Breakdown {
-    let (records, _, _) = trace_rt::run_one_word_on(cfg.clone(), dst, iters);
+pub fn traced_round_trip(cfg: &SpConfig, dst: usize, iters: u32, t: &mut Tally) -> Breakdown {
+    let (records, report, _) = trace_rt::run_one_word_on(cfg.clone(), dst, iters);
+    t.add(&report);
     trace_rt::breakdown_on(&records, iters as u64 - 1, cfg, dst)
 }
 
 /// Run the whole sweep.
-pub fn run(quick: bool) -> Vec<TopoPoint> {
+pub fn run(quick: bool, t: &mut Tally) -> Vec<TopoPoint> {
     let iters = if quick { 4 } else { 8 };
     let (n, count) = if quick { (4096, 16) } else { (16384, 64) };
     configs()
         .into_iter()
         .map(|(label, cfg, dst)| {
-            let bd = traced_round_trip(&cfg, dst, iters);
-            let bw = store_bandwidth(cfg.clone(), dst, n, count);
+            let bd = traced_round_trip(&cfg, dst, iters, t);
+            let bw = store_bandwidth(cfg.clone(), dst, n, count, t);
             TopoPoint {
                 label,
                 frames: cfg.topology.frames(),
@@ -123,11 +125,11 @@ pub struct CongestionPoint {
 }
 
 /// Run the hot-spot congestion experiment under both policies.
-pub fn congestion(quick: bool) -> (CongestionPoint, CongestionPoint) {
+pub fn congestion(quick: bool, t: &mut Tally) -> (CongestionPoint, CongestionPoint) {
     let iters = if quick { 12 } else { 32 };
     (
-        congestion_run(RoutePolicy::RoundRobin, 8, iters),
-        congestion_run(RoutePolicy::Adaptive, 8, iters),
+        congestion_run(RoutePolicy::RoundRobin, 8, iters, t),
+        congestion_run(RoutePolicy::Adaptive, 8, iters, t),
     )
 }
 
@@ -136,9 +138,9 @@ pub fn congestion(quick: bool) -> (CongestionPoint, CongestionPoint) {
 /// shared cables occupied for the whole measurement), while frame-0 nodes
 /// `1..k` each measure `iters` one-word round trips to a distinct frame-1
 /// peer.
-pub fn congestion_run(policy: RoutePolicy, k: usize, iters: u32) -> CongestionPoint {
+pub fn congestion_run(policy: RoutePolicy, k: usize, iters: u32, t: &mut Tally) -> CongestionPoint {
     let (m, tracer, cfg) = hotspot_machine(policy, k, iters);
-    m.run().expect("congestion run completes");
+    t.add(&m.run().expect("congestion run completes"));
     let records = tracer.snapshot();
 
     let mut rtts = Digest::new();
@@ -296,11 +298,11 @@ pub struct FaultPoint {
 pub const FAULT_KILL_AT_NS: u64 = 150_000;
 
 /// Run the fault-latency experiment under both policies.
-pub fn fault_latency(quick: bool) -> (FaultPoint, FaultPoint) {
+pub fn fault_latency(quick: bool, t: &mut Tally) -> (FaultPoint, FaultPoint) {
     let iters = if quick { 12 } else { 32 };
     (
-        fault_run(RoutePolicy::RoundRobin, 8, iters),
-        fault_run(RoutePolicy::Adaptive, 8, iters),
+        fault_run(RoutePolicy::RoundRobin, 8, iters, t),
+        fault_run(RoutePolicy::Adaptive, 8, iters, t),
     )
 }
 
@@ -393,8 +395,8 @@ fn fault_machine(
 
 /// One fault-latency run: the pinger machine with a `cable_kill` of
 /// lane 0 (both directions) scheduled at [`FAULT_KILL_AT_NS`].
-pub fn fault_run(policy: RoutePolicy, k: usize, iters: u32) -> FaultPoint {
-    fault_run_sharded(policy, k, iters, 1)
+pub fn fault_run(policy: RoutePolicy, k: usize, iters: u32, t: &mut Tally) -> FaultPoint {
+    fault_run_sharded(policy, k, iters, 1, t)
 }
 
 /// [`fault_run`] on the conservative-parallel engine: the same dead-cable
@@ -403,7 +405,13 @@ pub fn fault_run(policy: RoutePolicy, k: usize, iters: u32) -> FaultPoint {
 /// owning shard, so the measured round trips, drops, and digests are
 /// identical to the serial run for any shard count (adaptive-routing runs
 /// fall back to serial).
-pub fn fault_run_sharded(policy: RoutePolicy, k: usize, iters: u32, shards: usize) -> FaultPoint {
+pub fn fault_run_sharded(
+    policy: RoutePolicy,
+    k: usize,
+    iters: u32,
+    shards: usize,
+    t: &mut Tally,
+) -> FaultPoint {
     let (mut m, tracer, _cfg) = fault_machine(policy, k, iters, shards);
     m.schedule_world_at(sp_sim::Time(FAULT_KILL_AT_NS), |w| {
         for (from, to) in [(0usize, 1usize), (1, 0)] {
@@ -414,6 +422,7 @@ pub fn fault_run_sharded(policy: RoutePolicy, k: usize, iters: u32, shards: usiz
         }
     });
     let report = m.run().expect("fault-latency run completes");
+    t.add(&report);
     let records = tracer.snapshot();
 
     let mut rtts = Digest::new();
@@ -528,7 +537,7 @@ fn done_handler(env: &mut AmEnv<'_, St>, _args: AmArgs) {
 /// One-way streaming bandwidth (MB/s of payload) of `count` pipelined
 /// `n`-byte async stores from node 0 to node `dst` on `cfg`; uninvolved
 /// nodes only take part in the opening/closing barriers.
-pub fn store_bandwidth(cfg: SpConfig, dst: usize, n: usize, count: u32) -> f64 {
+pub fn store_bandwidth(cfg: SpConfig, dst: usize, n: usize, count: u32, t: &mut Tally) -> f64 {
     let nodes = cfg.nodes;
     assert!(dst != 0 && dst < nodes);
     let mut m = AmMachine::new(cfg, AmConfig::default(), 42);
@@ -569,7 +578,7 @@ pub fn store_bandwidth(cfg: SpConfig, dst: usize, n: usize, count: u32) -> f64 {
             );
         }
     }
-    m.run().expect("store-bandwidth run completes");
+    t.add(&m.run().expect("store-bandwidth run completes"));
     let v = *out.lock();
     v
 }
@@ -610,18 +619,18 @@ pub struct LossPoint {
 /// Run the loss-recovery experiment under both reliability modes — the
 /// same seeded drop window, byte-identical fabric, only the reliability
 /// configuration differs.
-pub fn loss_recovery(quick: bool) -> (LossPoint, LossPoint) {
+pub fn loss_recovery(quick: bool, t: &mut Tally) -> (LossPoint, LossPoint) {
     let msgs = if quick { 150 } else { 300 };
     (
-        loss_run(ReliabilityConfig::default(), msgs),
-        loss_run(ReliabilityConfig::adaptive(), msgs),
+        loss_run(ReliabilityConfig::default(), msgs, t),
+        loss_run(ReliabilityConfig::adaptive(), msgs, t),
     )
 }
 
 /// One loss-recovery run: `msgs` single-packet requests from node 0 to
 /// node 1 through a seeded 15% drop window over virtual time
 /// `[100 µs, 1.5 ms)`, timed to full quiescence.
-pub fn loss_run(rel: ReliabilityConfig, msgs: u32) -> LossPoint {
+pub fn loss_run(rel: ReliabilityConfig, msgs: u32, t: &mut Tally) -> LossPoint {
     // Keep-alive at a middling threshold (not the chaos harness's hair
     // trigger of 64): legacy's only timeout is emulated by poll counting,
     // so this is exactly the recovery path the adaptive RTO replaces.
@@ -641,7 +650,7 @@ pub fn loss_run(rel: ReliabilityConfig, msgs: u32) -> LossPoint {
         });
         w.switch.set_fault_injector(inj);
     });
-    let out = Arc::new(Mutex::new((0u64, AmStats::default())));
+    let out = Arc::new(Mutex::new(0u64));
     let out2 = out.clone();
     m.spawn("tx", St::default(), move |am: &mut Am<'_, St>| {
         am.register(done_handler);
@@ -652,9 +661,7 @@ pub fn loss_run(rel: ReliabilityConfig, msgs: u32) -> LossPoint {
         // Quiesce: every request delivered and acknowledged — the stream
         // has fully recovered from the window.
         am.quiesce();
-        let mut o = out2.lock();
-        o.0 = (am.now() - t0).as_ns();
-        o.1 = am.stats().clone();
+        *out2.lock() = (am.now() - t0).as_ns();
     });
     m.spawn("rx", St::default(), move |am: &mut Am<'_, St>| {
         am.register(done_handler);
@@ -663,7 +670,9 @@ pub fn loss_run(rel: ReliabilityConfig, msgs: u32) -> LossPoint {
         am.drain(sp_sim::Dur::ms(5.0));
     });
     let report = m.run().expect("loss-recovery run completes");
-    let (recover_ns, stats) = out.lock().clone();
+    t.add(&report);
+    let recover_ns = *out.lock();
+    let stats = &report.am_stats[0];
     let dropped = report.world.switch.stats().dropped;
     LossPoint {
         mode: if rel.is_legacy() {

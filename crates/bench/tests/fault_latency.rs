@@ -6,13 +6,13 @@
 //! round trips — while the adaptive policy masks severed links out of
 //! route selection and never drops a packet.
 
-use sp_bench::topo_exp;
+use sp_bench::{topo_exp, Tally};
 use sp_switch::RoutePolicy;
 
 #[test]
 fn fault_run_terminates_and_policies_split() {
-    let rr = topo_exp::fault_run(RoutePolicy::RoundRobin, 4, 6);
-    let ad = topo_exp::fault_run(RoutePolicy::Adaptive, 4, 6);
+    let rr = topo_exp::fault_run(RoutePolicy::RoundRobin, 4, 6, &mut Tally::default());
+    let ad = topo_exp::fault_run(RoutePolicy::Adaptive, 4, 6, &mut Tally::default());
 
     // Both runs measured most of their rounds after the kill.
     assert!(rr.samples_after >= 12, "rr samples: {}", rr.samples_after);

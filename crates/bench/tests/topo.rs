@@ -4,14 +4,15 @@
 //! terms — the trace-based breakdown attributes it, stage by stage.
 
 use sp_adapter::{RoutePolicy, SpConfig};
-use sp_bench::topo_exp;
+use sp_bench::{topo_exp, Tally};
 use sp_switch::SwitchConfig;
 
 #[test]
 fn cross_frame_round_trip_pays_exactly_the_extra_hops() {
     let hop = SwitchConfig::default().hop_latency.as_ns();
-    let single = topo_exp::traced_round_trip(&SpConfig::thin(2), 1, 3);
-    let multi = topo_exp::traced_round_trip(&SpConfig::multi_frame(2, 1), 1, 3);
+    let single = topo_exp::traced_round_trip(&SpConfig::thin(2), 1, 3, &mut Tally::default());
+    let multi =
+        topo_exp::traced_round_trip(&SpConfig::multi_frame(2, 1), 1, 3, &mut Tally::default());
     // Both breakdowns fully attribute their round trips.
     assert_eq!(single.sum_ns(), single.rtt_ns);
     assert_eq!(multi.sum_ns(), multi.rtt_ns);
@@ -37,7 +38,7 @@ fn multi_frame_breakdown_components_match_cost_model() {
     // exactly one inter-frame stage per direction.
     let cfg = SpConfig::multi_frame(4, 4);
     let dst = cfg.nodes - 1;
-    let bd = topo_exp::traced_round_trip(&cfg, dst, 3);
+    let bd = topo_exp::traced_round_trip(&cfg, dst, 3, &mut Tally::default());
     assert_eq!(bd.sum_ns(), bd.rtt_ns);
     for s in &bd.segments {
         let Some(exp) = s.expected_ns else { continue };
@@ -68,11 +69,12 @@ fn breakdown_chain_holds_under_adaptive_routing() {
     // so it must reconstruct the round trip unchanged when the adaptive
     // policy steers packets across lanes — and with the fabric otherwise
     // quiet, the adaptive round trip must equal the round-robin one.
-    let rr = topo_exp::traced_round_trip(&SpConfig::multi_frame(2, 1), 1, 3);
+    let rr = topo_exp::traced_round_trip(&SpConfig::multi_frame(2, 1), 1, 3, &mut Tally::default());
     let ad = topo_exp::traced_round_trip(
         &SpConfig::multi_frame(2, 1).routed(RoutePolicy::Adaptive),
         1,
         3,
+        &mut Tally::default(),
     );
     assert_eq!(ad.sum_ns(), ad.rtt_ns);
     assert_eq!(
@@ -86,7 +88,7 @@ fn adaptive_beats_round_robin_under_hot_spot_congestion() {
     // The PR's acceptance experiment: with a bulk stream hammering one
     // frame pair, adaptive pingers dodge the occupied cable lanes. The
     // simulator is deterministic, so strict inequalities are stable.
-    let (rr, ad) = topo_exp::congestion(true);
+    let (rr, ad) = topo_exp::congestion(true, &mut Tally::default());
     assert_eq!(rr.adaptive_picks, 0, "round-robin never dodges");
     assert!(ad.adaptive_picks > 0, "adaptive run recorded no dodges");
     assert!(
@@ -107,8 +109,14 @@ fn adaptive_beats_round_robin_under_hot_spot_congestion() {
 fn streaming_bandwidth_survives_the_extra_hop() {
     // Pipelined stores hide per-packet fabric latency: the cross-frame
     // machine must deliver at least ~95% of the single-frame rate.
-    let single = topo_exp::store_bandwidth(SpConfig::thin(2), 1, 4096, 12);
-    let multi = topo_exp::store_bandwidth(SpConfig::multi_frame(2, 1), 1, 4096, 12);
+    let single = topo_exp::store_bandwidth(SpConfig::thin(2), 1, 4096, 12, &mut Tally::default());
+    let multi = topo_exp::store_bandwidth(
+        SpConfig::multi_frame(2, 1),
+        1,
+        4096,
+        12,
+        &mut Tally::default(),
+    );
     assert!(single > 0.0 && multi > 0.0);
     assert!(
         multi >= 0.95 * single,

@@ -269,7 +269,7 @@ pub fn report(out: &RunOutcome, violations: &[Violation]) -> String {
             let st = &n.stats;
             let _ = writeln!(
                 r,
-                "node{}: end_ns {} sent {} rtx {} recvd {} shorts {} data {} dup {} ooo {} nacks {}/{} eacks {} probes {} ka {} idle {} all_sent {} backlog {}",
+                "node{}: end_ns {} sent {} rtx {} recvd {} shorts {} data {} dup {} ooo {} nacks {}/{} eacks {} probes {} answers {}/{} ka {} idle {} all_sent {} backlog {}",
                 n.node,
                 n.end_ns,
                 st.packets_sent,
@@ -283,6 +283,8 @@ pub fn report(out: &RunOutcome, violations: &[Violation]) -> String {
                 st.nacks_received,
                 st.explicit_acks_sent,
                 st.probes_sent,
+                st.probe_answers_sent,
+                st.probe_answers_received,
                 st.keepalive_rounds,
                 n.all_idle,
                 n.all_sent,

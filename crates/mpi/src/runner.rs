@@ -5,7 +5,7 @@ use crate::mpiam::{MpiAm, MpiAmConfig, MpiSt};
 use crate::mpif::{MpiF, MpiFConfig};
 use parking_lot::Mutex;
 use sp_adapter::SpConfig;
-use sp_am::{Am, AmConfig, AmMachine};
+use sp_am::{Am, AmConfig, AmMachine, AmStats};
 use sp_mpl::{Mpl, MplMachine};
 use std::sync::Arc;
 
@@ -54,12 +54,19 @@ pub struct MpiRunReport {
     pub end_ns: u64,
     /// Counted engine events executed.
     pub events: u64,
+    /// Wall-clock duration of the run.
+    pub wall: std::time::Duration,
+    /// Duplicate unpark wake-ups coalesced by the engine.
+    pub wakes_coalesced: u64,
     /// FNV-1a over `(end, events, per-node adapter stats, switch stats)` —
     /// the same observable-state construction the golden pins use. Two runs
     /// with equal hashes moved every packet identically.
     pub report_hash: u64,
     /// Per-shard engine breakdown (empty on a serial run).
     pub shards: Vec<sp_sim::ShardReport>,
+    /// Shards requested via `SpConfig::parallel` before clamping to the
+    /// node count.
+    pub shards_requested: usize,
     /// Inter-shard synchronization events (0 on a serial run).
     pub sync_events: u64,
     /// Conservative lookahead windows (0 on a serial run).
@@ -68,6 +75,15 @@ pub struct MpiRunReport {
     /// sync overhead); `None` on a serial run. Integer-valued fields keep
     /// the report `Eq`-comparable for the equivalence checks.
     pub profile: Option<sp_sim::ShardProfile>,
+    /// Packets dropped to receive-FIFO overflow, summed over all adapters.
+    pub dropped_overflow: u64,
+    /// Packets dropped inside the switch fabric (fault injection).
+    pub switch_dropped: u64,
+    /// Extra packet copies the switch fabric created (fault injection).
+    pub switch_duplicated: u64,
+    /// Each rank's final AM protocol counters, indexed by rank (empty for
+    /// MPI-F, which runs over MPL).
+    pub am_stats: Vec<AmStats>,
 }
 
 /// FNV-1a over the observable end state of any `SpWorld`-backed machine.
@@ -99,6 +115,31 @@ fn world_hash<P: Send + 'static>(end_ns: u64, events: u64, w: &sp_adapter::SpWor
     h
 }
 
+/// The [`MpiRunReport`] of `$r`, an `AmReport` or `MplReport` (both name
+/// their fields alike), with the ranks' AM counters `$am_stats`.
+macro_rules! run_report {
+    ($r:ident, $am_stats:expr) => {{
+        let end_ns = $r.end_time.as_ns();
+        let sw = $r.world.switch.stats();
+        MpiRunReport {
+            end_ns,
+            events: $r.events,
+            wall: $r.wall,
+            wakes_coalesced: $r.wakes_coalesced,
+            report_hash: world_hash(end_ns, $r.events, &$r.world),
+            shards: $r.shards,
+            shards_requested: $r.shards_requested,
+            sync_events: $r.sync_events,
+            windows: $r.windows,
+            profile: $r.profile,
+            dropped_overflow: $r.world.dropped_overflow(),
+            switch_dropped: sw.dropped,
+            switch_duplicated: sw.duplicated,
+            am_stats: $am_stats,
+        }
+    }};
+}
+
 /// Run `app` SPMD over `nodes` ranks of `imp` on the given SP hardware
 /// (thin or wide nodes); returns each rank's result.
 pub fn run_mpi<R: Send + 'static>(
@@ -122,8 +163,7 @@ pub fn run_mpi_report<R: Send + 'static>(
     let nodes = sp.nodes;
     let results: Arc<Mutex<Vec<Option<R>>>> =
         Arc::new(Mutex::new((0..nodes).map(|_| None).collect()));
-    let run;
-    match imp {
+    let run = match imp {
         MpiImpl::AmUnoptimized | MpiImpl::AmOptimized | MpiImpl::AmTuned => {
             let cfg = match imp {
                 MpiImpl::AmOptimized => MpiAmConfig::optimized(),
@@ -161,16 +201,7 @@ pub fn run_mpi_report<R: Send + 'static>(
                     t.dropped()
                 );
             }
-            let end_ns = r.end_time.as_ns();
-            run = MpiRunReport {
-                end_ns,
-                events: r.events,
-                report_hash: world_hash(end_ns, r.events, &r.world),
-                shards: r.shards,
-                sync_events: r.sync_events,
-                windows: r.windows,
-                profile: r.profile,
-            };
+            run_report!(r, r.am_stats)
         }
         MpiImpl::MpiF => {
             let cfg = MpiFConfig::default();
@@ -186,18 +217,9 @@ pub fn run_mpi_report<R: Send + 'static>(
                 });
             }
             let r = m.run().expect("MPI-F run completes");
-            let end_ns = r.end_time.as_ns();
-            run = MpiRunReport {
-                end_ns,
-                events: r.events,
-                report_hash: world_hash(end_ns, r.events, &r.world),
-                shards: r.shards,
-                sync_events: r.sync_events,
-                windows: r.windows,
-                profile: r.profile,
-            };
+            run_report!(r, Vec::new())
         }
-    }
+    };
     let mut out = Vec::with_capacity(nodes);
     for slot in results.lock().iter_mut() {
         out.push(slot.take().expect("every rank produced a result"));

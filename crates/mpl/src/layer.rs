@@ -366,8 +366,15 @@ pub struct MplReport {
     pub end_time: Time,
     /// Engine events executed.
     pub events: u64,
+    /// Wall-clock duration of the run.
+    pub wall: std::time::Duration,
+    /// Duplicate unpark wake-ups coalesced by the engine.
+    pub wakes_coalesced: u64,
     /// Per-shard engine breakdown (empty on a serial run).
     pub shards: Vec<sp_sim::ShardReport>,
+    /// Shards requested via [`SpConfig::parallel`] before clamping to the
+    /// node count.
+    pub shards_requested: usize,
     /// Inter-shard synchronization events (0 on a serial run).
     pub sync_events: u64,
     /// Conservative lookahead windows (0 on a serial run).
@@ -421,7 +428,10 @@ impl MplMachine {
         Ok(MplReport {
             end_time: report.end_time,
             events: report.events,
+            wall: report.wall,
+            wakes_coalesced: report.wakes_coalesced,
             shards: report.shards,
+            shards_requested: report.shards_requested,
             sync_events: report.sync_events,
             windows: report.windows,
             profile: report.profile,

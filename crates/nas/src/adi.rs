@@ -82,6 +82,7 @@ fn run_adi(mpi: &mut dyn Mpi, p: &AdiParams) -> NasResult {
 
     mpi.barrier();
     let t0 = mpi.now();
+    let mut comp_ns = 0;
 
     for _it in 0..p.iters {
         // --- x sweep: exchange faces with west/east (column neighbours).
@@ -130,7 +131,7 @@ fn run_adi(mpi: &mut dyn Mpi, p: &AdiParams) -> NasResult {
                 }
             }
         }
-        charge_flops(mpi, (n * n * n) as u64 * p.flops_per_cell);
+        comp_ns += charge_flops(mpi, (n * n * n) as u64 * p.flops_per_cell);
 
         // --- y sweep: exchange with north/south (row neighbours).
         let north = (my_r > 0).then(|| (my_r - 1) * pc + my_c);
@@ -177,7 +178,7 @@ fn run_adi(mpi: &mut dyn Mpi, p: &AdiParams) -> NasResult {
                 }
             }
         }
-        charge_flops(mpi, (n * n * n) as u64 * p.flops_per_cell);
+        comp_ns += charge_flops(mpi, (n * n * n) as u64 * p.flops_per_cell);
 
         // --- z sweep: undecomposed, purely local.
         for i in 0..n {
@@ -190,13 +191,14 @@ fn run_adi(mpi: &mut dyn Mpi, p: &AdiParams) -> NasResult {
                 }
             }
         }
-        charge_flops(mpi, (n * n * n) as u64 * p.flops_per_cell);
+        comp_ns += charge_flops(mpi, (n * n * n) as u64 * p.flops_per_cell);
     }
 
     let local: f64 = u.iter().map(|v| v * v).sum();
     let global = mpi.allreduce_f64(&[local], |a, b| a + b)[0];
     NasResult {
         time: mpi.now() - t0,
+        comp_ns,
         checksum: global,
     }
 }

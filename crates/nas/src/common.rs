@@ -2,7 +2,6 @@
 
 use sp_mpi::Mpi;
 use sp_sim::Dur;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The five benchmarks of Table 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,23 +80,22 @@ pub struct NasResult {
     /// Deterministic residual checksum (must agree across MPI
     /// implementations).
     pub checksum: f64,
+    /// Virtual nanoseconds of computation charged through `charge_flops`:
+    /// one rank's own charge in a kernel's return value, the sum over all
+    /// ranks in [`run_kernel_on`](crate::run_kernel_on)'s.
+    pub comp_ns: u64,
 }
 
 /// Sustained Power2 rate used to charge kernel flops (MFLOP/s).
 pub const NAS_MFLOPS: f64 = 48.0;
 
-/// Total virtual nanoseconds of computation charged through
-/// [`charge_flops`] since process start, across all ranks and runs.
-/// Snapshot before and after a run to get that run's aggregate compute
-/// charge — the experiment harness uses the delta for the
-/// communication/computation split (see `wide_sweep` in sp-bench).
-pub static CHARGED_COMP_NS: AtomicU64 = AtomicU64::new(0);
-
-/// Charge `flops` floating-point operations of computation.
-pub fn charge_flops(mpi: &mut dyn Mpi, flops: u64) {
+/// Charge `flops` floating-point operations of computation; returns the
+/// virtual nanoseconds charged, which each kernel sums into
+/// [`NasResult::comp_ns`].
+pub fn charge_flops(mpi: &mut dyn Mpi, flops: u64) -> u64 {
     let ns = (flops as f64 * 1_000.0 / NAS_MFLOPS).round() as u64;
-    CHARGED_COMP_NS.fetch_add(ns, Ordering::Relaxed);
     mpi.work(Dur::ns(ns));
+    ns
 }
 
 /// Near-square 2D factorization of `p` (rows × cols, rows ≤ cols).

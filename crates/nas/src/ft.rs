@@ -78,6 +78,7 @@ pub fn run(mpi: &mut dyn Mpi, class: NasClass) -> NasResult {
 
     mpi.barrier();
     let t0 = mpi.now();
+    let mut comp_ns = 0;
     let mut checksum = 0.0f64;
 
     for _it in 0..iters {
@@ -89,7 +90,7 @@ pub fn run(mpi: &mut dyn Mpi, class: NasClass) -> NasResult {
                 fft(&mut ure[base..base + nx], &mut uim[base..base + nx]);
             }
         }
-        charge_flops(mpi, (local_nz * ny) as u64 * fft_flops(nx));
+        comp_ns += charge_flops(mpi, (local_nz * ny) as u64 * fft_flops(nx));
         for z in 0..local_nz {
             for x in 0..nx {
                 let mut lre: Vec<f64> = (0..ny).map(|y| ure[(z * ny + y) * nx + x]).collect();
@@ -101,7 +102,7 @@ pub fn run(mpi: &mut dyn Mpi, class: NasClass) -> NasResult {
                 }
             }
         }
-        charge_flops(mpi, (local_nz * nx) as u64 * fft_flops(ny));
+        comp_ns += charge_flops(mpi, (local_nz * nx) as u64 * fft_flops(ny));
 
         // Transpose z<->y via all-to-all: destination d gets my z-planes of
         // its y-slab (y in [d*local_ny, (d+1)*local_ny)).
@@ -153,7 +154,7 @@ pub fn run(mpi: &mut dyn Mpi, class: NasClass) -> NasResult {
                 }
             }
         }
-        charge_flops(mpi, (local_ny * nx) as u64 * fft_flops(nz));
+        comp_ns += charge_flops(mpi, (local_ny * nx) as u64 * fft_flops(nz));
         checksum += vre.iter().step_by(97).map(|v| v.abs()).sum::<f64>()
             + vim.iter().step_by(89).map(|v| v.abs()).sum::<f64>();
 
@@ -195,6 +196,7 @@ pub fn run(mpi: &mut dyn Mpi, class: NasClass) -> NasResult {
     let global = mpi.allreduce_f64(&[checksum], |a, b| a + b)[0];
     NasResult {
         time: mpi.now() - t0,
+        comp_ns,
         checksum: global,
     }
 }

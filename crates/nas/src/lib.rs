@@ -34,7 +34,7 @@ mod ft;
 mod lu;
 mod mg;
 
-pub use common::{Kernel, NasClass, NasResult, CHARGED_COMP_NS};
+pub use common::{Kernel, NasClass, NasResult};
 
 use sp_adapter::SpConfig;
 use sp_mpi::runner::{run_mpi_report, MpiImpl, MpiRunReport};
@@ -86,5 +86,13 @@ pub fn run_kernel_on(
             "ranks disagree on the residual"
         );
     }
-    (NasResult { time, checksum }, run)
+    let comp_ns = results.iter().map(|r| r.comp_ns).sum();
+    (
+        NasResult {
+            time,
+            checksum,
+            comp_ns,
+        },
+        run,
+    )
 }

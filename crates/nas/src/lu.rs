@@ -38,6 +38,7 @@ pub fn run(mpi: &mut dyn Mpi, class: NasClass) -> NasResult {
 
     mpi.barrier();
     let t0 = mpi.now();
+    let mut comp_ns = 0;
 
     for _it in 0..iters {
         // Lower-triangular sweep: wavefront from the north-west corner.
@@ -53,7 +54,7 @@ pub fn run(mpi: &mut dyn Mpi, class: NasClass) -> NasResult {
                 from_west.as_deref(),
                 0.2,
             );
-            charge_flops(mpi, (n * n) as u64 * FLOPS_PER_CELL_SWEEP);
+            comp_ns += charge_flops(mpi, (n * n) as u64 * FLOPS_PER_CELL_SWEEP);
             if let Some(p) = south {
                 let strip: Vec<f64> = (0..n).map(|j| u[idx(n - 1, j, k)]).collect();
                 mpi.send(&pack(&strip), p, TAG_NS);
@@ -76,7 +77,7 @@ pub fn run(mpi: &mut dyn Mpi, class: NasClass) -> NasResult {
                 from_east.as_deref(),
                 0.15,
             );
-            charge_flops(mpi, (n * n) as u64 * FLOPS_PER_CELL_SWEEP);
+            comp_ns += charge_flops(mpi, (n * n) as u64 * FLOPS_PER_CELL_SWEEP);
             if let Some(p) = north {
                 let strip: Vec<f64> = (0..n).map(|j| u[idx(0, j, k)]).collect();
                 mpi.send(&pack(&strip), p, TAG_NS);
@@ -92,6 +93,7 @@ pub fn run(mpi: &mut dyn Mpi, class: NasClass) -> NasResult {
     let global = mpi.allreduce_f64(&[local], |a, b| a + b)[0];
     NasResult {
         time: mpi.now() - t0,
+        comp_ns,
         checksum: global,
     }
 }

@@ -69,13 +69,14 @@ pub fn run(mpi: &mut dyn Mpi, class: NasClass) -> NasResult {
 
     mpi.barrier();
     let t0 = mpi.now();
+    let mut comp_ns = 0;
 
     for _it in 0..iters {
         // Down-cycle: relax + restrict.
         for l in 0..num_levels {
             let n = n0 >> l;
             halo_relax(mpi, &mut levels[l], n, (mx, my, mz), (px, py, pz), &rank_of);
-            charge_flops(mpi, (n * n * n) as u64 * FLOPS_PER_POINT);
+            comp_ns += charge_flops(mpi, (n * n * n) as u64 * FLOPS_PER_POINT);
             if l + 1 < num_levels {
                 let (fine, coarse) = {
                     let (a, b) = levels.split_at_mut(l + 1);
@@ -93,7 +94,7 @@ pub fn run(mpi: &mut dyn Mpi, class: NasClass) -> NasResult {
             };
             interpolate(coarse, fine, n);
             halo_relax(mpi, &mut levels[l], n, (mx, my, mz), (px, py, pz), &rank_of);
-            charge_flops(mpi, (n * n * n) as u64 * FLOPS_PER_POINT);
+            comp_ns += charge_flops(mpi, (n * n * n) as u64 * FLOPS_PER_POINT);
         }
     }
 
@@ -101,6 +102,7 @@ pub fn run(mpi: &mut dyn Mpi, class: NasClass) -> NasResult {
     let global = mpi.allreduce_f64(&[local], |a, b| a + b)[0];
     NasResult {
         time: mpi.now() - t0,
+        comp_ns,
         checksum: global,
     }
 }

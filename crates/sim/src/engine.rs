@@ -853,7 +853,7 @@ pub struct SimReport<W> {
     /// Shard count the caller asked [`Sim::run_parallel`] for, before the
     /// clamp to the node count. Zero for serial runs; when it differs from
     /// `shards.len()` the profile describes fewer shards than requested
-    /// (flagged in the `[parallel]` stats summary line).
+    /// (flagged in the experiment binaries' `[parallel]` summary line).
     pub shards_requested: usize,
     /// Total synchronization events (inter-shard message deliveries) across
     /// all shards. Zero for serial runs; the null-message overhead of a
@@ -876,122 +876,6 @@ impl<W> SimReport<W> {
     /// Simulated events per wall-clock second (engine throughput).
     pub fn events_per_sec(&self) -> f64 {
         self.events as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Cumulative engine statistics across every completed [`Sim::run`] in this
-/// process. Experiment binaries print these so engine-performance
-/// regressions are visible next to the virtual-time results.
-pub mod stats {
-    use super::ShardProfile;
-    use parking_lot::Mutex;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static RUNS: AtomicU64 = AtomicU64::new(0);
-    static EVENTS: AtomicU64 = AtomicU64::new(0);
-    static WALL_NS: AtomicU64 = AtomicU64::new(0);
-    static COALESCED: AtomicU64 = AtomicU64::new(0);
-    static PARALLEL_RUNS: AtomicU64 = AtomicU64::new(0);
-    static PARALLEL_SHARDS: AtomicU64 = AtomicU64::new(0);
-    static SYNC_EVENTS: AtomicU64 = AtomicU64::new(0);
-    static WINDOWS: AtomicU64 = AtomicU64::new(0);
-    static CLAMPED_RUNS: AtomicU64 = AtomicU64::new(0);
-    static LAST_CLAMP: Mutex<Option<(u64, u64)>> = Mutex::new(None);
-    static LAST_PROFILE: Mutex<Option<ShardProfile>> = Mutex::new(None);
-
-    pub(crate) fn record(events: u64, coalesced: u64, wall: std::time::Duration) {
-        RUNS.fetch_add(1, Ordering::Relaxed);
-        EVENTS.fetch_add(events, Ordering::Relaxed);
-        COALESCED.fetch_add(coalesced, Ordering::Relaxed);
-        WALL_NS.fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_parallel(requested: u64, shards: u64, sync_events: u64, windows: u64) {
-        PARALLEL_RUNS.fetch_add(1, Ordering::Relaxed);
-        PARALLEL_SHARDS.fetch_add(shards, Ordering::Relaxed);
-        SYNC_EVENTS.fetch_add(sync_events, Ordering::Relaxed);
-        WINDOWS.fetch_add(windows, Ordering::Relaxed);
-        if requested > shards {
-            CLAMPED_RUNS.fetch_add(1, Ordering::Relaxed);
-            *LAST_CLAMP.lock() = Some((requested, shards));
-        }
-    }
-
-    pub(crate) fn record_profile(p: &ShardProfile) {
-        *LAST_PROFILE.lock() = Some(p.clone());
-    }
-
-    /// Per-shard PDES profile of the most recent parallel run in this
-    /// process, or `None` when every run so far was serial.
-    pub fn last_parallel_profile() -> Option<ShardProfile> {
-        LAST_PROFILE.lock().clone()
-    }
-
-    /// Unparks coalesced into already-queued wakes since process start.
-    pub fn wakes_coalesced() -> u64 {
-        COALESCED.load(Ordering::Relaxed)
-    }
-
-    /// Parallel-run totals since process start:
-    /// `(parallel_runs, shards, sync_events, windows)`. All zero when every
-    /// run so far was serial.
-    pub fn parallel_snapshot() -> (u64, u64, u64, u64) {
-        (
-            PARALLEL_RUNS.load(Ordering::Relaxed),
-            PARALLEL_SHARDS.load(Ordering::Relaxed),
-            SYNC_EVENTS.load(Ordering::Relaxed),
-            WINDOWS.load(Ordering::Relaxed),
-        )
-    }
-
-    /// One-line human summary of [`parallel_snapshot`] plus the most
-    /// recent run's per-shard event counts and window-utilization
-    /// percentages, or `None` when no parallel run has completed (so
-    /// serial-only binaries stay quiet).
-    pub fn parallel_summary() -> Option<String> {
-        let (runs, shards, sync, windows) = parallel_snapshot();
-        if runs == 0 {
-            return None;
-        }
-        let mut line = format!(
-            "{runs} parallel runs ({shards} shards): {sync} sync events, {windows} windows"
-        );
-        if let Some(p) = last_parallel_profile() {
-            line.push_str(&format!("; last run: {}", p.summary()));
-        }
-        let clamped = CLAMPED_RUNS.load(Ordering::Relaxed);
-        if clamped > 0 {
-            if let Some((req, eff)) = *LAST_CLAMP.lock() {
-                line.push_str(&format!(
-                    "; WARNING: {clamped} run(s) clamped below the requested shard count \
-                     (last: {req} requested -> {eff} effective)"
-                ));
-            }
-        }
-        Some(line)
-    }
-
-    /// Totals since process start: `(runs, events, wall)`.
-    pub fn snapshot() -> (u64, u64, std::time::Duration) {
-        (
-            RUNS.load(Ordering::Relaxed),
-            EVENTS.load(Ordering::Relaxed),
-            std::time::Duration::from_nanos(WALL_NS.load(Ordering::Relaxed)),
-        )
-    }
-
-    /// One-line human summary of [`snapshot`], e.g.
-    /// `"37 runs, 1204331 events in 0.48 s (2.5 M events/sec)"`.
-    pub fn summary() -> String {
-        let (runs, events, wall) = snapshot();
-        let secs = wall.as_secs_f64();
-        let rate = events as f64 / secs.max(1e-9);
-        let (scaled, unit) = if rate >= 1e6 {
-            (rate / 1e6, "M")
-        } else {
-            (rate / 1e3, "k")
-        };
-        format!("{runs} runs, {events} events in {secs:.2} s ({scaled:.1} {unit} events/sec)")
     }
 }
 

@@ -54,8 +54,8 @@
 //! see `tests/parallel.rs` and the proptest equivalence suite.
 
 use crate::engine::{
-    broadcast_kind, exec_event, stats, EvKind, EventCtx, EventFn, GlobalBudget, Inner, NState,
-    NodeId, NodeMeta, Sched, ShardProfile, ShardReport, ShardSlot, Shared, Sim, SimReport,
+    broadcast_kind, exec_event, EvKind, EventCtx, EventFn, GlobalBudget, Inner, NState, NodeId,
+    NodeMeta, Sched, ShardProfile, ShardReport, ShardSlot, Shared, Sim, SimReport,
 };
 use crate::error::SimError;
 use crate::node::{Baton, Drive, NodeCtx, ShutdownToken, WakeReason};
@@ -558,7 +558,6 @@ impl<W: Send + 'static> Sim<W> {
         let f = self.execute(vec![world], owner, Dur(u64::MAX), |_| Vec::new())?;
         let inner = f.inners.into_iter().next().expect("one shard");
         let wall = started.elapsed();
-        stats::record(inner.events, f.wakes_coalesced, wall);
         Ok(SimReport {
             world: inner.world,
             end_time: f.end_time,
@@ -781,7 +780,7 @@ impl<W: Shardable> Sim<W> {
     /// `events`, the rest are `sync_events`). `num_shards` is clamped to the
     /// node count; the requested value is recorded in
     /// [`SimReport::shards_requested`] and a clamp is flagged in the
-    /// `[parallel]` stats summary. The event budget
+    /// experiment binaries' `[parallel]` summary line. The event budget
     /// ([`Sim::set_event_budget`]) is one run-wide atomic shared by all
     /// shards, charged for serial-comparable events only, so one-shard and
     /// sharded runs trip `EventBudgetExhausted` at the same event count.
@@ -827,13 +826,6 @@ impl<W: Shardable> Sim<W> {
         let sync_events: u64 = shard_reports.iter().map(|s| s.sync_events).sum();
         let world = W::merge(f.inners.into_iter().map(|i| i.world).collect());
         let wall = started.elapsed();
-        stats::record(events, f.wakes_coalesced, wall);
-        stats::record_parallel(
-            requested_shards as u64,
-            num_shards as u64,
-            sync_events,
-            st.windows,
-        );
         let profile = ShardProfile {
             windows: st.windows,
             window_ns: st.window_ns,
@@ -842,7 +834,6 @@ impl<W: Shardable> Sim<W> {
             sync_events: shard_reports.iter().map(|s| s.sync_events).collect(),
             active_windows: st.active_windows,
         };
-        stats::record_profile(&profile);
         Ok(SimReport {
             world,
             end_time: f.end_time,

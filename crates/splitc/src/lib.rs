@@ -36,5 +36,5 @@ pub mod run;
 pub mod util;
 
 pub use gas::{AppTimes, Gas};
-pub use run::{run_spmd, Platform};
+pub use run::{run_spmd, run_spmd_report, Platform, SpmdReport};
 pub use sp_am::{GlobalPtr, Mem, MemPool};

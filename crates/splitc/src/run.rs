@@ -7,10 +7,10 @@ use crate::backend::mpl::MplGas;
 use crate::gas::Gas;
 use parking_lot::Mutex;
 use sp_adapter::SpConfig;
-use sp_am::{Am, AmConfig, AmMachine, MemPool};
+use sp_am::{Am, AmConfig, AmMachine, AmReport, MemPool};
 use sp_logp::{Logp, LogpParams, LogpWorld};
-use sp_mpl::{Mpl, MplConfig, MplMachine};
-use sp_sim::Sim;
+use sp_mpl::{Mpl, MplConfig, MplMachine, MplReport};
+use sp_sim::{Sim, SimReport};
 use std::sync::Arc;
 
 /// The five platforms of the paper's Split-C comparison.
@@ -52,6 +52,16 @@ impl Platform {
     }
 }
 
+/// The machine-level report of one SPMD run, by platform family.
+pub enum SpmdReport {
+    /// An SP AM run.
+    Am(AmReport),
+    /// An SP MPL run.
+    Mpl(MplReport),
+    /// A LogGP-model run (CM-5, CS-2, U-Net).
+    Logp(SimReport<LogpWorld>),
+}
+
 /// Run `app` SPMD over `nodes` nodes of `platform`; returns each node's
 /// result, indexed by node.
 pub fn run_spmd<R: Send + 'static>(
@@ -60,9 +70,19 @@ pub fn run_spmd<R: Send + 'static>(
     seed: u64,
     app: impl Fn(&mut dyn Gas) -> R + Send + Sync + Clone + 'static,
 ) -> Vec<R> {
+    run_spmd_report(platform, nodes, seed, app).0
+}
+
+/// [`run_spmd`], additionally returning the run's [`SpmdReport`].
+pub fn run_spmd_report<R: Send + 'static>(
+    platform: Platform,
+    nodes: usize,
+    seed: u64,
+    app: impl Fn(&mut dyn Gas) -> R + Send + Sync + Clone + 'static,
+) -> (Vec<R>, SpmdReport) {
     let results: Arc<Mutex<Vec<Option<R>>>> =
         Arc::new(Mutex::new((0..nodes).map(|_| None).collect()));
-    match platform {
+    let report = match platform {
         Platform::SpAm => {
             let mut m = AmMachine::new(SpConfig::thin(nodes), AmConfig::default(), seed);
             for node in 0..nodes {
@@ -78,7 +98,7 @@ pub fn run_spmd<R: Send + 'static>(
                     },
                 );
             }
-            m.run().expect("SP AM run completes");
+            SpmdReport::Am(m.run().expect("SP AM run completes"))
         }
         Platform::SpMpl => {
             let mut m = MplMachine::new(SpConfig::thin(nodes), MplConfig::default(), seed);
@@ -93,7 +113,7 @@ pub fn run_spmd<R: Send + 'static>(
                     results.lock()[node] = Some(r);
                 });
             }
-            m.run().expect("SP MPL run completes");
+            SpmdReport::Mpl(m.run().expect("SP MPL run completes"))
         }
         Platform::Cm5 | Platform::Cs2 | Platform::Unet => {
             let params = match platform {
@@ -115,12 +135,12 @@ pub fn run_spmd<R: Send + 'static>(
                     results.lock()[node] = Some(r);
                 });
             }
-            sim.run().expect("LogGP run completes");
+            SpmdReport::Logp(sim.run().expect("LogGP run completes"))
         }
-    }
+    };
     let mut out = Vec::with_capacity(nodes);
     for slot in results.lock().iter_mut() {
         out.push(slot.take().expect("every node produced a result"));
     }
-    out
+    (out, report)
 }

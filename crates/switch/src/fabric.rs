@@ -5,34 +5,6 @@ use crate::topology::{HopPath, LinkId, Topology};
 use sp_sim::{Dur, Time};
 use sp_trace::{Kind, Tracer, Track};
 
-/// Process-global switch counters, cumulative across every [`Switch`] in
-/// this process. Experiment binaries print these so fault-injected (or
-/// accidental) packet loss is visible in every summary line.
-pub mod gstats {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static DROPPED: AtomicU64 = AtomicU64::new(0);
-    static DUPLICATED: AtomicU64 = AtomicU64::new(0);
-
-    pub(crate) fn record_drop() {
-        DROPPED.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_dup() {
-        DUPLICATED.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Packets dropped by any switch fabric since process start.
-    pub fn dropped() -> u64 {
-        DROPPED.load(Ordering::Relaxed)
-    }
-
-    /// Extra packet copies created by any switch fabric since process start.
-    pub fn duplicated() -> u64 {
-        DUPLICATED.load(Ordering::Relaxed)
-    }
-}
-
 /// How the fabric picks among the `routes_per_pair` candidate routes for
 /// each packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -469,7 +441,6 @@ impl Switch {
     fn drop_at_first(&mut self, link: LinkId, ready: Time, ser: Dur, wire_bytes: usize) -> Transit {
         let start = self.claim_first(link, ready, ser, wire_bytes as u64);
         self.stats.dropped += 1;
-        gstats::record_drop();
         if let Some(t) = &self.tracer {
             t.instant(
                 start.as_ns(),
@@ -673,7 +644,6 @@ impl Switch {
         }
         if dropped {
             self.stats.dropped += 1;
-            gstats::record_drop();
             if let Some(tr) = &self.tracer {
                 tr.instant(
                     t.origin_start.as_ns(),
@@ -736,7 +706,6 @@ impl Switch {
             let at = self.links[link as usize].claim(nominal, ser, true);
             self.stats.duplicated += 1;
             self.stats.wire_bytes += t.wire_bytes as u64;
-            gstats::record_dup();
             if let Some(tr) = &self.tracer {
                 let track = self.track(link);
                 tr.span((at - ser).as_ns(), at.as_ns(), track, Kind::LinkBusy, 0);
@@ -772,7 +741,6 @@ impl Switch {
                 let at =
                     self.links[link as usize].claim(t.arrival + self.cfg.hop_latency, ser, false);
                 self.stats.dropped += 1;
-                gstats::record_drop();
                 if let Some(tr) = &self.tracer {
                     let track = self.track(link);
                     tr.span(
@@ -861,7 +829,6 @@ impl Switch {
                     let at =
                         self.links[link as usize].claim(arrival + self.cfg.hop_latency, ser, false);
                     self.stats.dropped += 1;
-                    gstats::record_drop();
                     if let Some(t) = &self.tracer {
                         let track = self.track(link);
                         t.span(
@@ -934,7 +901,6 @@ impl Switch {
             let at = self.links[link as usize].claim(nominal, ser, true);
             self.stats.duplicated += 1;
             self.stats.wire_bytes += wire_bytes as u64;
-            gstats::record_dup();
             if let Some(t) = &self.tracer {
                 let track = self.track(link);
                 t.span((at - ser).as_ns(), at.as_ns(), track, Kind::LinkBusy, 0);
@@ -968,6 +934,41 @@ mod tests {
             Transit::Delivered { at, .. } => at,
             Transit::Dropped => panic!("unexpected drop"),
         }
+    }
+
+    #[test]
+    fn dropped_packets_count_and_trace() {
+        let tracer = Tracer::new(2, 64);
+        let mut s = sw(2);
+        s.set_tracer(tracer.clone());
+        s.set_fault_injector(FaultInjector::drop_at([0]));
+        assert_eq!(s.transit(0, 1, 256, Time::ZERO), Transit::Dropped);
+        assert_eq!(s.stats().dropped, 1);
+        assert!(tracer
+            .snapshot()
+            .iter()
+            .any(|r| r.kind == Kind::SwitchDrop && r.arg == 256));
+    }
+
+    #[test]
+    fn duplicated_packets_count_and_trace() {
+        let tracer = Tracer::new(2, 64);
+        let mut s = sw(2);
+        s.set_tracer(tracer.clone());
+        s.set_fault_injector(FaultInjector::dup_at([0]));
+        let t = s.transit(0, 1, 256, Time::ZERO);
+        assert!(matches!(
+            t,
+            Transit::Delivered {
+                dup_at: Some(_),
+                ..
+            }
+        ));
+        assert_eq!(s.stats().duplicated, 1);
+        assert!(tracer
+            .snapshot()
+            .iter()
+            .any(|r| r.kind == Kind::SwitchDup && r.arg == 256));
     }
 
     /// The sharded two-phase transit must reproduce the serial fabric

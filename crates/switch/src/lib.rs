@@ -39,7 +39,7 @@ mod fabric;
 mod fault;
 mod topology;
 
-pub use fabric::{gstats, RoutePolicy, StagedTransit, Switch, SwitchConfig, SwitchStats, Transit};
+pub use fabric::{RoutePolicy, StagedTransit, Switch, SwitchConfig, SwitchStats, Transit};
 pub use fault::{FaultInjector, FaultKind, FaultWindow, PartitionWindow};
 pub use topology::{
     HopPath, LinkClass, LinkId, Topology, DEFAULT_CABLES_PER_PAIR, FRAME_PORTS, MAX_PATH_LINKS,

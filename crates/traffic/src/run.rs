@@ -12,8 +12,8 @@
 use crate::{Fnv, TrafficConfig, TrafficSchedule};
 use parking_lot::Mutex;
 use sp_adapter::{RoutePolicy, SpConfig};
-use sp_am::{Am, AmArgs, AmConfig, AmEnv, AmMachine, GlobalPtr, HandlerId};
-use sp_sim::{Dur, Time};
+use sp_am::{Am, AmArgs, AmConfig, AmEnv, AmMachine, AmStats, GlobalPtr, HandlerId};
+use sp_sim::{Dur, ShardProfile, Time};
 use sp_trace::Digest;
 use std::sync::Arc;
 
@@ -55,6 +55,10 @@ pub struct TrafficReport {
     pub wall: std::time::Duration,
     /// Engine shards the run used after the adaptive fallback (1 = serial).
     pub shards: usize,
+    /// Duplicate unpark wake-ups coalesced by the engine.
+    pub wakes_coalesced: u64,
+    /// PDES profile of a sharded run; `None` on a one-shard run.
+    pub profile: Option<ShardProfile>,
     /// Median request latency (scheduled instant → response landed), ns.
     pub p50_ns: u64,
     /// 99th-percentile latency, ns.
@@ -72,6 +76,11 @@ pub struct TrafficReport {
     pub dropped_overflow: u64,
     /// Packets dropped inside the switch fabric (0 without fault injection).
     pub switch_dropped: u64,
+    /// Extra packet copies the switch fabric created (0 without fault
+    /// injection).
+    pub switch_duplicated: u64,
+    /// Each node's final AM protocol counters, indexed by node.
+    pub am_stats: Vec<AmStats>,
     /// FNV-1a fingerprint over every sample and the machine counters; the
     /// serial ≡ parallel determinism assertion compares this.
     pub hash: u64,
@@ -325,6 +334,8 @@ pub fn run_traffic(cfg: &TrafficConfig, sp: SpConfig) -> TrafficReport {
         events: report.events,
         wall: report.wall,
         shards,
+        wakes_coalesced: report.wakes_coalesced,
+        profile: report.profile,
         p50_ns: lat.quantile_ns(0.50),
         p99_ns: lat.quantile_ns(0.99),
         p999_ns: lat.quantile_ns(0.999),
@@ -333,6 +344,8 @@ pub fn run_traffic(cfg: &TrafficConfig, sp: SpConfig) -> TrafficReport {
         goodput_mb_s: total_bytes as f64 / (last_done_ns.max(1) as f64 / 1e9) / 1e6,
         dropped_overflow: report.dropped_overflow,
         switch_dropped: report.switch_dropped,
+        switch_duplicated: sw.duplicated,
+        am_stats: report.am_stats,
         hash: h.finish(),
     }
 }
