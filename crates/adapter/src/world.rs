@@ -129,34 +129,38 @@ pub(crate) struct SpShard<P: Send + 'static> {
     pub(crate) outbox: Vec<ShardMsg<SpMsg<P>>>,
 }
 
-/// How the sharded fabric stages a transit (see the [`Shardable`] impl's
-/// docs for the lookahead derivation of each mode).
+/// Where the sharded fabric runs the fabric stage of
+/// [`Switch::transit`]'s one walk, and so which lookahead it declares (see
+/// the [`Shardable`] impl's docs for the derivation). Every mode runs the
+/// same three stages: [`Switch::origin_phase`] on the source's owner,
+/// [`Switch::fabric_phase`], and [`Switch::eject_phase`] on the
+/// destination's owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ShardMode {
-    /// Single frame, no fabric-wide injector: the origin classifies (its
-    /// injection-link injector lives on the source shard) and claims the
-    /// injection link; one message hop later the destination shard
-    /// finishes at the ejection link.
+    /// Single frame, no fabric-wide injector: the fabric stage runs on the
+    /// origin shard right after the origin stage, and one message hop
+    /// (lookahead `L`) later the destination shard finishes at the
+    /// ejection link.
     TwoPhase,
-    /// Multi-frame topology and/or a live fabric-wide injector: the origin
-    /// only claims the injection link; the fabric shard
-    /// ([`FABRIC_SHARD`]) owns the fabric-wide injector, every
-    /// injection-link injector, and the cables, so it classifies those
-    /// streams — and claims any cable stage — in serial order; the
-    /// destination shard finishes at the ejection link two hops later.
+    /// Multi-frame topology and/or a live fabric-wide injector: the fabric
+    /// stage runs on [`FABRIC_SHARD`], which owns the fabric-wide
+    /// injector, every injection-link injector and every intermediate
+    /// link, so it classifies those streams and claims those links in
+    /// serial order. Two message hops of lookahead `L/2` each.
     Pipelined,
 }
 
 /// The shard that runs the pipelined mode's fabric stage. Any fixed shard
 /// works (the stage only needs *one* owner for the fabric-wide injector,
-/// the injection-link injectors, and the cables); shard 0 always exists.
+/// the injection-link injectors, and the intermediate links); shard 0
+/// always exists.
 pub(crate) const FABRIC_SHARD: usize = 0;
 
 /// A packet advancing through the sharded fabric's staged pipeline. The
 /// carried [`StagedTransit`] holds the original (unshifted) fabric
 /// timestamps and accumulated fault verdicts, so every stage classifies
-/// and claims with inputs bit-identical to the serial walk no matter which
-/// shard executes it.
+/// and claims with inputs bit-identical to a one-shard [`Switch::transit`]
+/// no matter which shard executes it.
 pub enum SpMsg<P> {
     /// Final stage, on the shard owning the destination node: classify and
     /// claim the ejection link, then chain into firmware receive.
@@ -167,8 +171,8 @@ pub enum SpMsg<P> {
         t: StagedTransit,
     },
     /// Pipelined middle stage, on the fabric shard: fabric-wide and
-    /// injection-link classification plus the cable stage of a cross-frame
-    /// path (see [`Switch::fabric_phase`]).
+    /// injection-link classification plus the intermediate links of a
+    /// cross-frame path (see [`Switch::fabric_phase`]).
     Fabric {
         /// The in-flight packet.
         pkt: WirePacket<P>,
@@ -353,11 +357,11 @@ impl<P: Send + 'static> SpWorld<P> {
         (send_lost, recv_lost)
     }
 
-    /// Whether a parallel split of this world takes the pipelined staging
-    /// (three stages through the fabric shard) instead of the two-phase
-    /// staging. Multi-frame topologies need the fabric shard for cable
-    /// claims; a live fabric-wide injector needs it so one shard
-    /// classifies the whole packet stream in serial order.
+    /// Whether a parallel split of this world runs the fabric stage on the
+    /// fabric shard ([`ShardMode::Pipelined`]) instead of on each origin
+    /// shard. Multi-frame topologies need one owner for the intermediate
+    /// links; a live fabric-wide injector needs one shard to classify the
+    /// whole packet stream in serial order.
     fn pipelined_split(&self) -> bool {
         self.switch.topology().frames() > 1 || !self.switch.global_fault_is_noop()
     }
@@ -415,79 +419,67 @@ pub(crate) fn fw_send_step<P: Send + Clone + 'static>(
     let dst = pkt.dst;
     // Sharded mode stages every non-loopback transit through the outbox:
     // the injection link is claimed here on the source shard, and the
-    // remaining stages — the pipelined mode's fabric stage, then the
-    // ejection-link claim on the destination's owner — each run exactly
-    // one lookahead later as barrier-applied sync events, so the counted
-    // event stream stays identical to the serial engine. Every eject
-    // (same-shard destinations included) rides the outbox so the barrier's
-    // `(ts, seq)` sort orders all claims of a shared link the way the
-    // serial event queue would. Loopback never enters the fabric and keeps
-    // the serial path.
-    enum Routed {
-        Deliver {
-            slot: u64,
-            at: Time,
-            dup: Option<(u64, Time)>,
-        },
-        Dropped,
-        Staged,
-    }
-    let routed = {
+    // remaining stages each run exactly one lookahead later as
+    // barrier-applied sync events, so the counted event stream stays
+    // identical to the serial engine. Every eject (same-shard destinations
+    // included) rides the outbox so the barrier's `(ts, seq)` sort orders
+    // all claims of a shared link the way the serial event queue would.
+    // Loopback never enters the fabric and keeps the one-shard path.
+    let direct = {
         let w = e.world();
         w.adapters[node].stats.sent += 1;
-        let sharded = match &w.shard {
-            Some(sh) if dst != node => Some((now + sh.lookahead, sh.mode)),
-            _ => None,
-        };
-        match sharded {
-            Some((ts, mode)) => {
-                let classify = mode == ShardMode::TwoPhase;
-                match w
-                    .switch
-                    .origin_phase(node, dst, pkt.wire_bytes, done, classify)
-                {
-                    // Dropped crossing the injection link (two-phase mode
-                    // classifies it here, on the owning shard).
-                    None => Routed::Dropped,
-                    Some(t) => {
-                        let sh = w.shard.as_mut().expect("sharded implies shard");
-                        let (dst_shard, msg) = match mode {
-                            ShardMode::TwoPhase => (sh.owner[dst], SpMsg::Eject { pkt, t }),
-                            ShardMode::Pipelined => (FABRIC_SHARD, SpMsg::Fabric { pkt, t, gen }),
-                        };
-                        sh.outbox.push(ShardMsg {
-                            ts,
-                            seq: gen,
-                            dst_shard,
-                            msg,
-                        });
-                        Routed::Staged
-                    }
+        match &mut w.shard {
+            Some(sh) if dst != node => {
+                let t = w.switch.origin_phase(node, dst, pkt.wire_bytes, done);
+                let staged = match sh.mode {
+                    // The origin shard owns this injection link's injector
+                    // and a sealed no-op fabric-wide one: it runs the
+                    // fabric stage itself, and a drop ends the packet here.
+                    ShardMode::TwoPhase => w
+                        .switch
+                        .fabric_phase(t)
+                        .map(|t| (sh.owner[dst], SpMsg::Eject { pkt, t })),
+                    ShardMode::Pipelined => Some((FABRIC_SHARD, SpMsg::Fabric { pkt, t, gen })),
+                };
+                if let Some((dst_shard, msg)) = staged {
+                    sh.outbox.push(ShardMsg {
+                        ts: now + sh.lookahead,
+                        seq: gen,
+                        dst_shard,
+                        msg,
+                    });
                 }
+                None
             }
-            None => match w.switch.transit(node, dst, pkt.wire_bytes, done) {
-                Transit::Delivered { at, dup_at, .. } => {
-                    // A fabric-duplicated packet reaches the receive engine
-                    // twice: the second, identical copy parks in its own
-                    // slab slot.
-                    let dup = dup_at.map(|d| (w.inflight.insert(pkt.clone()), d));
-                    let slot = w.inflight.insert(pkt);
-                    Routed::Deliver { slot, at, dup }
-                }
-                Transit::Dropped => Routed::Dropped,
+            _ => match w.switch.transit(node, dst, pkt.wire_bytes, done) {
+                Transit::Delivered { at, dup_at, .. } => Some((pkt, at, dup_at)),
+                Transit::Dropped => None,
             },
         }
     };
-    match routed {
-        Routed::Deliver { slot, at, dup } => {
-            if let Some((dup_slot, dup_at)) = dup {
-                e.schedule_hot_at(dup_at, fw_recv_step, dst as u64, dup_slot);
-            }
-            e.schedule_hot_at(at, fw_recv_step, dst as u64, slot);
-        }
-        Routed::Dropped | Routed::Staged => {}
+    if let Some((pkt, at, dup_at)) = direct {
+        recv_at(e, pkt, at, dup_at);
     }
     e.schedule_hot_at(done, fw_send_step, node as u64, now.as_ns());
+}
+
+/// Hand a packet that crossed the switch to its destination's receive
+/// engine at `at`. A fabric-duplicated packet reaches the receive engine
+/// twice: the second, identical copy parks in its own slab slot.
+fn recv_at<P: Send + Clone + 'static>(
+    e: &mut EventCtx<'_, SpWorld<P>>,
+    pkt: WirePacket<P>,
+    at: Time,
+    dup_at: Option<Time>,
+) {
+    let dst = pkt.dst as u64;
+    let w = e.world();
+    let dup = dup_at.map(|d| (w.inflight.insert(pkt.clone()), d));
+    let slot = w.inflight.insert(pkt);
+    if let Some((dup_slot, dup_at)) = dup {
+        e.schedule_hot_at(dup_at, fw_recv_step, dst, dup_slot);
+    }
+    e.schedule_hot_at(at, fw_recv_step, dst, slot);
 }
 
 /// Final stage of a staged transit, applied on the destination shard as a
@@ -503,23 +495,10 @@ fn eject_and_recv<P: Send + Clone + 'static>(
     pkt: WirePacket<P>,
     t: StagedTransit,
 ) {
-    let dst = t.dst as u64;
-    let (slot, at, dup) = {
-        let w = e.world();
-        match w.switch.eject_phase(t) {
-            // Dropped crossing the ejection link.
-            None => return,
-            Some((at, dup_at)) => {
-                let dup = dup_at.map(|d| (w.inflight.insert(pkt.clone()), d));
-                let slot = w.inflight.insert(pkt);
-                (slot, at, dup)
-            }
-        }
-    };
-    if let Some((dup_slot, dup_at)) = dup {
-        e.schedule_hot_at(dup_at, fw_recv_step, dst, dup_slot);
+    // `None`: dropped crossing the ejection link.
+    if let Some((at, dup_at)) = e.world().switch.eject_phase(t) {
+        recv_at(e, pkt, at, dup_at);
     }
-    e.schedule_hot_at(at, fw_recv_step, dst, slot);
 }
 
 /// Firmware receive engine: per-packet processing + DMA into the host-memory
@@ -584,13 +563,18 @@ fn deliver_step<P: Send + 'static>(e: &mut EventCtx<'_, SpWorld<P>>, dst: u64, s
 ///
 /// The conservative lookahead is the minimum virtual-time distance between
 /// a source-shard event and its earliest possible effect on another shard.
-/// The only cross-shard channel is a packet transit, staged through the
-/// outbox in one of two shapes chosen at [`Shardable::split`] time:
+/// The only cross-shard channel is a packet transit. Every shard runs the
+/// same walk as [`Switch::transit`] — origin, fabric and eject stages —
+/// with the stages spread over shards through the outbox. The
+/// staging mode chosen at [`Shardable::split`] time decides only where
+/// the fabric stage runs:
 ///
 /// * **Two-phase** (single frame, no fabric-wide injector): the origin
-///   classifies (its injection-link injector lives on the source shard)
-///   and claims the injection link; one message hop later the
-///   destination's owner classifies and claims the ejection link. That
+///   shard claims the injection link and runs the fabric stage right
+///   away. Its fabric-wide injector is a sealed no-op and it owns its
+///   nodes' injection-link injectors, so it classifies each of those
+///   streams in serial order. One message hop later the destination's
+///   owner classifies and claims the ejection link. That
 ///   claim lands at `nominal >= send_event_time + fw_send_per_packet +
 ///   dma(wire) + serialization(wire) + hop_latency`; with `serialization
 ///   = for_bytes(wire) + packet_gap` and `dma, for_bytes > 0`, the bound
@@ -600,18 +584,20 @@ fn deliver_step<P: Send + 'static>(e: &mut EventCtx<'_, SpWorld<P>>, dst: u64, s
 ///   conservative-advancement contract and still precedes the delivery
 ///   instant it computes.
 /// * **Pipelined** (multi-frame topology and/or a live fabric-wide
-///   injector): two message hops — origin (injection-link claim only) →
+///   injector): two message hops — origin (injection-link claim) →
 ///   fabric shard (fabric-wide + injection-link classification, plus the
-///   cable stage of a cross-frame path) → destination owner (ejection).
+///   intermediate links of a cross-frame path) → destination owner
+///   (ejection).
 ///   Each hop shifts the stage timestamp by the declared lookahead
 ///   `W = L / 2`, so the eject stage lands at `send_event_time + 2W <=
 ///   send_event_time + L`, still strictly below every delivery instant;
-///   the fabric stage at `send_event_time + W` precedes its cable claim
-///   by the same argument. Concentrating the fabric-wide injector, all
-///   injection-link injectors, and the cables on one shard keeps each
-///   injector's classification stream — and each cable's claim order —
-///   identical to serial, including the serial coupling where a
-///   fabric-wide drop skips the injection link's own classification.
+///   the fabric stage at `send_event_time + W` precedes its first
+///   intermediate claim by the same argument. Concentrating the
+///   fabric-wide injector, all injection-link injectors, and the
+///   intermediate links on one shard keeps each injector's classification
+///   stream — and each link's claim order — identical to serial,
+///   including the coupling where a fabric-wide drop skips the injection
+///   link's own classification.
 ///
 /// Claims and classifications replay in the serial engine's event order
 /// because every stage of a per-link stream carries the same constant
@@ -665,9 +651,10 @@ impl<P: Send + Clone + 'static> Shardable for SpWorld<P> {
                     switch.set_tracer(t.clone());
                 }
                 if mode == ShardMode::TwoPhase {
-                    // The two-phase pipeline never consults the fabric-wide
-                    // injector; a mid-run install must fail loudly instead
-                    // of silently diverging from serial.
+                    // Every two-phase shard runs the fabric stage for its
+                    // own sources, so a fabric-wide injector installed
+                    // mid-run would classify each substream apart; it must
+                    // fail loudly instead of silently diverging from serial.
                     switch.seal_global_fault();
                 }
                 SpWorld {
@@ -702,8 +689,9 @@ impl<P: Send + Clone + 'static> Shardable for SpWorld<P> {
         for (link, inj) in link_faults.into_iter().enumerate() {
             let Some(inj) = inj else { continue };
             let sid = if link < nodes {
-                // Injection link of node `link`: classified at the origin
-                // (two-phase) or at the fabric stage (pipelined).
+                // Injection link of node `link`: classified by the fabric
+                // stage, on the origin's owner (two-phase) or the fabric
+                // shard (pipelined).
                 match mode {
                     ShardMode::TwoPhase => owner[link],
                     ShardMode::Pipelined => FABRIC_SHARD,
@@ -713,7 +701,8 @@ impl<P: Send + Clone + 'static> Shardable for SpWorld<P> {
                 // on the destination's owner.
                 owner[link - nodes]
             } else {
-                // Cross-frame cable: only the fabric stage touches it.
+                // Intermediate link (cable, up- or down-link): only the
+                // fabric stage touches it.
                 FABRIC_SHARD
             };
             shards[sid]

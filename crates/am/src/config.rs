@@ -62,7 +62,7 @@ impl ReliabilityConfig {
     }
 
     /// Canonical single-line text form (inverse of
-    /// [`ReliabilityConfig::parse_fields`]); the form embedded in chaos
+    /// [`ReliabilityConfig::from_values`]); the form embedded in chaos
     /// schedule files and hashed into replay reports.
     pub fn format_fields(&self) -> String {
         format!(

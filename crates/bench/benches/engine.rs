@@ -22,6 +22,7 @@
 
 use criterion::{criterion_group, Criterion, Throughput};
 use sp_adapter::{host, SpConfig, SpWorld};
+use sp_bench::metrics::{json_number, json_string};
 use sp_sim::{Dur, Sim};
 
 /// 4 nodes × 2,500 polls of an empty receive FIFO.
@@ -225,23 +226,6 @@ fn elems_per_sec(r: &criterion::BenchResult) -> f64 {
         None => 1.0,
     };
     elems / (r.ns_per_iter / 1e9)
-}
-
-/// Pull `"key": <number>` out of a one-result JSON line (the baseline file
-/// is line-JSON written by this same binary; no JSON dependency needed).
-fn json_number(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let end = rest
-        .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E' | ' '))
-        .unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn json_string(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    Some(rest[..rest.find('"')?].to_string())
 }
 
 /// Run all workloads, print a summary, optionally write the results as

@@ -21,9 +21,9 @@
 //! baseline (CI fails the run only on an order-of-magnitude regression,
 //! mirroring `SP_BENCH_ENGINE_BASELINE`).
 
+use sp_bench::metrics::{compare_baseline, write_metrics};
 use sp_bench::topo_exp::CongestionPoint;
 use sp_bench::{quick, topo_exp};
-use std::io::Write;
 
 fn main() {
     let mut tally = sp_bench::Tally::default();
@@ -220,7 +220,7 @@ fn main() {
         ));
     }
     if let Ok(path) = std::env::var("SP_BENCH_TOPO_JSON") {
-        write_json(&path, &metrics);
+        write_metrics(&path, &metrics).expect("write SP_BENCH_TOPO_JSON file");
         println!("wrote {} metrics to {path}", metrics.len());
     }
     if let Ok(path) = std::env::var("SP_BENCH_TOPO_SERIES") {
@@ -228,7 +228,8 @@ fn main() {
         println!("wrote adaptive congestion gauge series to {path}");
     }
     if let Ok(path) = std::env::var("SP_BENCH_TOPO_BASELINE") {
-        if !compare_baseline(&path, &metrics) {
+        if !compare_baseline("topo", 28, &path, &metrics) {
+            println!("topo congestion metrics regressed by more than an order of magnitude");
             std::process::exit(1);
         }
     }
@@ -317,67 +318,4 @@ fn collect_metrics(rr: &CongestionPoint, ad: &CongestionPoint) -> Vec<(String, f
         out.push((format!("topo/{}-lane-spread", p.policy), p.lane_spread));
     }
     out
-}
-
-fn write_json(path: &str, metrics: &[(String, f64)]) {
-    let mut f = std::fs::File::create(path).expect("create SP_BENCH_TOPO_JSON file");
-    for (id, value) in metrics {
-        writeln!(f, "{{\"id\":\"{id}\",\"value\":{value:.3}}}").expect("write metric");
-    }
-}
-
-/// Pull `"key":<number>` out of a JSON line (hand-rolled, like the engine
-/// bench: the workspace has no JSON dependency).
-fn json_number(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Pull `"key":"<string>"` out of a JSON line.
-fn json_string<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Compare against a saved baseline. Only an order-of-magnitude regression
-/// (metric grew 10x; all topo metrics are lower-is-better) fails the run —
-/// same guardrail philosophy as `SP_BENCH_ENGINE_BASELINE`.
-fn compare_baseline(path: &str, metrics: &[(String, f64)]) -> bool {
-    let base = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            println!("\nno topo baseline at {path} ({e}); skipping comparison");
-            return true;
-        }
-    };
-    println!("\ncomparison vs baseline {path} (fail = metric grew 10x):");
-    let mut ok = true;
-    for line in base.lines().filter(|l| !l.trim().is_empty()) {
-        let (Some(id), Some(old)) = (json_string(line, "id"), json_number(line, "value")) else {
-            continue;
-        };
-        let Some((_, cur)) = metrics.iter().find(|(i, _)| i == id) else {
-            println!("  {id:<28} missing from current run");
-            continue;
-        };
-        let ratio = if old > 0.0 { cur / old } else { 1.0 };
-        let verdict = if ratio > 10.0 {
-            ok = false;
-            "FAIL"
-        } else {
-            "ok"
-        };
-        println!("  {id:<28} base {old:>12.1}  cur {cur:>12.1}  x{ratio:<6.2} {verdict}");
-    }
-    if !ok {
-        println!("topo congestion metrics regressed by more than an order of magnitude");
-    }
-    ok
 }

@@ -20,9 +20,9 @@
 //! `SP_BENCH_TOPO_BASELINE`).
 
 use sp_adapter::{RoutePolicy, SpConfig};
+use sp_bench::metrics::{compare_baseline, write_metrics};
 use sp_bench::quick;
 use sp_traffic::{run_traffic, saturation_sweep, Incast, LoadPoint, TrafficConfig};
-use std::io::Write;
 
 fn main() {
     let mut tally = sp_bench::Tally::default();
@@ -169,11 +169,12 @@ fn main() {
     }
 
     if let Ok(path) = std::env::var("SP_BENCH_TRAFFIC_JSON") {
-        write_json(&path, &metrics);
+        write_metrics(&path, &metrics).expect("write SP_BENCH_TRAFFIC_JSON file");
         println!("\nwrote {} metrics to {path}", metrics.len());
     }
     if let Ok(path) = std::env::var("SP_BENCH_TRAFFIC_BASELINE") {
-        if !compare_baseline(&path, &metrics) {
+        if !compare_baseline("traffic", 32, &path, &metrics) {
+            println!("traffic metrics regressed by more than an order of magnitude");
             std::process::exit(1);
         }
     }
@@ -200,67 +201,4 @@ fn report_saturation(sweeps: &[(&str, Vec<LoadPoint>)]) {
             None => println!("{tag}: goodput tracks offered load across the whole sweep"),
         }
     }
-}
-
-fn write_json(path: &str, metrics: &[(String, f64)]) {
-    let mut f = std::fs::File::create(path).expect("create SP_BENCH_TRAFFIC_JSON file");
-    for (id, value) in metrics {
-        writeln!(f, "{{\"id\":\"{id}\",\"value\":{value:.3}}}").expect("write metric");
-    }
-}
-
-/// Pull `"key":<number>` out of a JSON line (hand-rolled, like the topo
-/// bench: the workspace has no JSON dependency).
-fn json_number(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Pull `"key":"<string>"` out of a JSON line.
-fn json_string<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Compare against a saved baseline. All traffic metrics are
-/// lower-is-better (latency quantiles and drop counts), so only an
-/// order-of-magnitude growth fails the run.
-fn compare_baseline(path: &str, metrics: &[(String, f64)]) -> bool {
-    let base = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            println!("\nno traffic baseline at {path} ({e}); skipping comparison");
-            return true;
-        }
-    };
-    println!("\ncomparison vs baseline {path} (fail = metric grew 10x):");
-    let mut ok = true;
-    for line in base.lines().filter(|l| !l.trim().is_empty()) {
-        let (Some(id), Some(old)) = (json_string(line, "id"), json_number(line, "value")) else {
-            continue;
-        };
-        let Some((_, cur)) = metrics.iter().find(|(i, _)| i == id) else {
-            println!("  {id:<32} missing from current run");
-            continue;
-        };
-        let ratio = if old > 0.0 { cur / old } else { 1.0 };
-        let verdict = if ratio > 10.0 {
-            ok = false;
-            "FAIL"
-        } else {
-            "ok"
-        };
-        println!("  {id:<32} base {old:>12.1}  cur {cur:>12.1}  x{ratio:<6.2} {verdict}");
-    }
-    if !ok {
-        println!("traffic metrics regressed by more than an order of magnitude");
-    }
-    ok
 }

@@ -16,6 +16,7 @@
 
 pub mod ablation;
 pub mod fmt;
+pub mod metrics;
 pub mod micro;
 pub mod mpi_exp;
 pub mod nas_exp;

@@ -19,7 +19,7 @@
 //!    invariants after a lossless tail: exactly-once handler delivery,
 //!    per-channel sequence monotonicity, eventual quiescence, and stats
 //!    conservation across the AM/adapter/switch layers ([`check`]).
-//! 3. **Shrinking** ([`shrink`]) — a violated invariant is shrunk to a
+//! 3. **Shrinking** (`shrink`) — a violated invariant is shrunk to a
 //!    1-minimal reproducer, emitted as an exactly re-executable replay
 //!    file ([`repro_text`], [`replay`]) with the expected report embedded,
 //!    plus a Chrome trace of the failing run.

@@ -901,7 +901,7 @@ impl<W: Send + 'static> Sim<W> {
     }
 
     /// Cap the number of events executed; exceeding it aborts the run with
-    /// [`SimError::EventBudgetExhausted`]. Useful against livelocks.
+    /// [`crate::SimError::EventBudgetExhausted`]. Useful against livelocks.
     pub fn set_event_budget(&mut self, budget: u64) {
         self.event_budget = budget;
     }

@@ -1,7 +1,7 @@
 //! The switch fabric timing model.
 
 use crate::fault::{FaultInjector, FaultKind};
-use crate::topology::{HopPath, LinkId, Topology};
+use crate::topology::{LinkId, Topology};
 use sp_sim::{Dur, Time};
 use sp_trace::{Kind, Tracer, Track};
 
@@ -70,7 +70,8 @@ pub enum Transit {
     Delivered {
         /// Instant the last byte reaches the destination adapter.
         at: Time,
-        /// Route index used (`0..routes_per_pair`), round-robin per pair.
+        /// Route index used (`0..routes_per_pair`), as chosen by the
+        /// fabric's [`RoutePolicy`].
         route: usize,
         /// If the packet was classified [`FaultKind::Duplicate`], the
         /// instant a second, identical copy also reaches the destination.
@@ -137,9 +138,10 @@ pub struct Switch {
     link_faults: Vec<Option<FaultInjector>>,
     stats: SwitchStats,
     tracer: Option<Tracer>,
-    /// Set on shards running the two-phase (non-pipelined) staged transit,
-    /// which never consults the fabric-wide injector: installing one mid-run
-    /// would silently diverge from serial, so it panics instead.
+    /// Set on shards running the two-phase staged transit, where every
+    /// shard runs the fabric stage for its own sources: a fabric-wide
+    /// injector installed mid-run would classify each shard's substream
+    /// apart and silently diverge from serial, so it panics instead.
     global_fault_sealed: bool,
 }
 
@@ -162,11 +164,10 @@ pub struct SwitchStats {
     pub hops: u64,
 }
 
-/// A staged transit in flight between pipeline stages of the sharded
-/// fabric. Carries everything [`Switch::deliver`] keeps on the stack —
+/// A transit in flight between the stages of [`Switch::transit`]'s walk:
 /// the original (unshifted) fabric timestamps plus the fault verdicts
-/// accumulated so far — so each stage classifies and claims with inputs
-/// bit-identical to the serial walk, no matter which shard runs it.
+/// accumulated so far, so each stage classifies and claims with the same
+/// inputs no matter which shard of a sharded fabric runs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StagedTransit {
     /// Source node.
@@ -229,17 +230,19 @@ impl Switch {
         assert!(
             !self.global_fault_sealed || fault.is_noop(),
             "fabric-wide fault injector installed mid-run on a two-phase \
-             parallel shard: the two-phase staged transit never consults it, \
-             so the run would silently diverge from serial. Install the \
-             injector before the run starts (the parallel split then routes \
-             every packet through the fabric stage), or run serially."
+             parallel shard: every shard would classify only its own \
+             sources' packets, so the run would silently diverge from \
+             serial. Install the injector before the run starts (the \
+             parallel split then runs every fabric stage on one shard), or \
+             run serially."
         );
         self.fault = fault;
     }
 
     /// Forbid installing a non-noop fabric-wide injector from here on.
     /// The parallel split calls this on shards running the two-phase staged
-    /// transit, which skips fabric-wide classification entirely.
+    /// transit, where each shard runs the fabric stage for its own sources
+    /// and so sees only part of the packet stream.
     pub fn seal_global_fault(&mut self) {
         self.global_fault_sealed = true;
     }
@@ -413,10 +416,8 @@ impl Switch {
     }
 
     /// Claim the packet's first link starting no earlier than `ready`,
-    /// trace the occupancy, and return the injection start. `busy_arg`
-    /// follows the recorder's convention: wire bytes when the packet dies
-    /// on this link, 0 otherwise.
-    fn claim_first(&mut self, link: LinkId, ready: Time, ser: Dur, busy_arg: u64) -> Time {
+    /// trace the occupancy, and return the injection start.
+    fn claim_first(&mut self, link: LinkId, ready: Time, ser: Dur) -> Time {
         let st = &mut self.links[link as usize];
         let start = ready.max(st.free);
         // Queueing delay the packet eats waiting for the link — sampled at
@@ -431,45 +432,36 @@ impl Switch {
                 (start + ser).as_ns(),
                 track,
                 Kind::LinkBusy,
-                busy_arg,
+                0,
             );
         }
         start
-    }
-
-    /// Drop the packet as it leaves on its first link.
-    fn drop_at_first(&mut self, link: LinkId, ready: Time, ser: Dur, wire_bytes: usize) -> Transit {
-        let start = self.claim_first(link, ready, ser, wire_bytes as u64);
-        self.stats.dropped += 1;
-        if let Some(t) = &self.tracer {
-            t.instant(
-                start.as_ns(),
-                self.track(link),
-                Kind::SwitchDrop,
-                wire_bytes as u64,
-            );
-        }
-        Transit::Dropped
     }
 
     /// Inject a packet of `wire_bytes` from `src` to `dst`, with the first
     /// byte available at the source adapter at `ready`. Returns when (and
     /// whether) the packet reaches the destination adapter.
     ///
+    /// A packet bound for another node walks its path in three stages on
+    /// this one fabric — [`Switch::origin_phase`], [`Switch::fabric_phase`],
+    /// [`Switch::eject_phase`] — the same stages a sharded fabric runs on
+    /// the shards owning each part of the path. Each link on the path is
+    /// claimed in order: `at_i = max(at_{i-1} + hop_latency (+ injected
+    /// extra), link-free + ser)`, cut-through forwarding paced by any
+    /// contended stage. For a single frame this reduces exactly to the
+    /// historical two-endpoint recurrence the golden pins are measured on.
+    ///
     /// Loopback (`src == dst`) still crosses the adapter but not the fabric:
     /// the SP adapter loops self-addressed packets through the MSMU with the
     /// same serialization and negligible latency. Because it never enters
     /// the fabric, no fault injector — fabric-wide or per-link — sees it.
     pub fn transit(&mut self, src: usize, dst: usize, wire_bytes: usize, ready: Time) -> Transit {
-        let n = self.topo.nodes();
-        assert!(src < n && dst < n, "node out of range");
-        let ser = self.serialization(wire_bytes);
-
-        let route = self.select_route(src, dst, ready);
-
         if src == dst {
+            assert!(src < self.topo.nodes(), "node out of range");
+            let route = self.select_route(src, dst, ready);
             let link = self.topo.inj_link(src);
-            let start = self.claim_first(link, ready, ser, 0);
+            let ser = self.serialization(wire_bytes);
+            let start = self.claim_first(link, ready, ser);
             let at = start + ser;
             self.finish(wire_bytes);
             if let Some(t) = &self.tracer {
@@ -487,54 +479,12 @@ impl Switch {
                 dup_at: None,
             };
         }
-
-        let path = self.topo.path(src, dst, route);
-
-        // Fabric-wide classification: drop at the first link, delay at the
-        // final stage, duplicate as a second ejection (a per-link drop
-        // upstream short-circuits before the downstream links' injectors
-        // ever see the packet). Time windows are evaluated at the instant
-        // the packet enters the fabric.
-        let mut global_delay = false;
-        let mut want_dup = false;
-        match self.fault.classify_pair_at(src, dst, ready) {
-            FaultKind::Drop => {
-                return self.drop_at_first(path.links()[0], ready, ser, wire_bytes);
-            }
-            FaultKind::Duplicate => want_dup = true,
-            FaultKind::Delay => global_delay = true,
-            FaultKind::None => {}
+        let t = self.origin_phase(src, dst, wire_bytes, ready);
+        let route = t.route;
+        match self.fabric_phase(t).and_then(|t| self.eject_phase(t)) {
+            Some((at, dup_at)) => Transit::Delivered { at, route, dup_at },
+            None => Transit::Dropped,
         }
-        let mut pending_delay = false;
-        match self.classify_link(path.links()[0], ready) {
-            FaultKind::Drop => {
-                return self.drop_at_first(path.links()[0], ready, ser, wire_bytes);
-            }
-            FaultKind::Duplicate => want_dup = true,
-            // Charged when the packet crosses the next stage.
-            FaultKind::Delay => pending_delay = true,
-            FaultKind::None => {}
-        }
-        self.deliver(
-            path,
-            dst,
-            ser,
-            ready,
-            wire_bytes,
-            global_delay,
-            pending_delay,
-            want_dup,
-            route,
-        )
-    }
-
-    /// `true` when neither the fabric-wide injector nor any per-link
-    /// injector can fault a packet. The sharded parallel fabric requires
-    /// this: each shard owns an independent `Switch` clone, so per-shard
-    /// injectors would classify disjoint packet substreams and diverge
-    /// from the serial run.
-    pub fn fault_free(&self) -> bool {
-        self.fault.is_noop() && self.link_faults.iter().flatten().all(|f| f.is_noop())
     }
 
     /// Fold another fabric's statistics into this one. The parallel engine
@@ -549,82 +499,53 @@ impl Switch {
         self.stats.hops += other.hops;
     }
 
-    /// Stage 1 of a sharded staged transit: claim the packet's injection
-    /// link on the *source* shard's fabric. Non-loopback only. Mirrors
-    /// [`Switch::transit`] up to (but excluding) the downstream links:
-    /// route selection consumes the pair's round-robin counter and the
-    /// injection link is claimed and traced. With `classify` set (the
-    /// two-phase mode, where the fabric-wide injector is sealed no-op and
-    /// the injection link's injector lives on the source shard) the
-    /// injection link's injector classifies the packet here, exactly as
-    /// serial does when the fabric-wide verdict is `None`; a drop charges
-    /// this shard's counters and returns `None`. With `classify` unset
-    /// (the pipelined mode) classification is deferred to the fabric stage
-    /// on the shard owning every injection-side injector. Delivery
-    /// counters are charged at the ejection stage, not here.
+    /// Stage 1 of [`Switch::transit`]: route selection consumes the
+    /// pair's round-robin counter, and the injection link is claimed and
+    /// traced. Non-loopback only. No injector classifies here: every
+    /// verdict on the injection link is taken by the fabric stage, and the
+    /// delivery counters are charged at the ejection stage.
     pub fn origin_phase(
         &mut self,
         src: usize,
         dst: usize,
         wire_bytes: usize,
         ready: Time,
-        classify: bool,
-    ) -> Option<StagedTransit> {
+    ) -> StagedTransit {
         let n = self.topo.nodes();
         assert!(src < n && dst < n, "node out of range");
         assert_ne!(src, dst, "loopback never enters the fabric");
         let ser = self.serialization(wire_bytes);
         let route = self.select_route(src, dst, ready);
-        let link = self.topo.inj_link(src);
-        let mut t = StagedTransit {
+        let start = self.claim_first(self.topo.inj_link(src), ready, ser);
+        StagedTransit {
             src,
             dst,
             wire_bytes,
             ready,
             route,
-            origin_start: Time::ZERO,
-            hop_start: Time::ZERO,
-            arrival: Time::ZERO,
+            origin_start: start,
+            hop_start: start,
+            arrival: start + ser,
             hops: 1,
             pending_delay: false,
             global_delay: false,
             got_delayed: false,
             want_dup: false,
-        };
-        if classify {
-            debug_assert!(
-                self.fault.is_noop(),
-                "two-phase origin classification requires a no-op fabric-wide injector"
-            );
-            match self.classify_link(link, ready) {
-                FaultKind::Drop => {
-                    self.drop_at_first(link, ready, ser, wire_bytes);
-                    return None;
-                }
-                FaultKind::Duplicate => t.want_dup = true,
-                FaultKind::Delay => t.pending_delay = true,
-                FaultKind::None => {}
-            }
         }
-        let start = self.claim_first(link, ready, ser, 0);
-        t.origin_start = start;
-        t.hop_start = start;
-        t.arrival = start + ser;
-        Some(t)
     }
 
-    /// The pipelined mode's fabric stage, run on the one shard owning the
-    /// fabric-wide injector, every injection-link injector, and the
-    /// cross-frame cables. Classification replicates [`Switch::transit`]'s
-    /// serial coupling — the fabric-wide verdict first, and a fabric-wide
-    /// drop returns before the injection link's own injector ever sees the
-    /// packet — then, for a cross-frame path, walks the cable stage
-    /// (classify + claim) exactly like one iteration of the serial
-    /// delivery loop. Returns `None` when the packet drops here (charged
-    /// to this shard's counters). The injection link itself was already
-    /// claimed at the origin with a busy arg of 0; when the verdict turns
-    /// out to be a drop, the occupancy trace therefore shows 0 instead of
-    /// the serial wire-byte arg — timings and stats are unaffected.
+    /// Stage 2 of [`Switch::transit`]: classify the packet and walk the
+    /// intermediate stages. The fabric-wide verdict comes first, and a
+    /// fabric-wide drop returns before the injection link's own injector
+    /// ever sees the packet. Both verdicts are keyed to the instant the
+    /// packet entered the fabric. A drop here loses the packet on its
+    /// injection link: the link stays claimed, the `SwitchDrop` instant
+    /// lands at the injection start, and `None` is returned (charged to
+    /// this fabric's counters). A cross-frame path then classifies and
+    /// claims each intermediate link — one flat cable, or a fat tree's up-
+    /// and down-links — in order. A sharded fabric runs this stage on the
+    /// one shard owning every injector it consults and every link it
+    /// claims.
     pub fn fabric_phase(&mut self, mut t: StagedTransit) -> Option<StagedTransit> {
         let inj = self.topo.inj_link(t.src);
         let mut dropped = false;
@@ -660,8 +581,8 @@ impl Switch {
             // Same-frame: the next (and final) stage is the ejection link.
             return Some(t);
         }
-        // Walk every intermediate stage — one flat cable, or a fat tree's
-        // up- and down-links — exactly like the serial delivery loop.
+        // Walk every intermediate stage: one flat cable, or a fat tree's
+        // up- and down-links.
         let mut prev = inj;
         for &link in &links[1..links.len() - 1] {
             if !self.staged_hop(&mut t, link, prev, false) {
@@ -673,14 +594,13 @@ impl Switch {
         Some(t)
     }
 
-    /// Final stage of a sharded staged transit: classify and claim the
-    /// packet's ejection link on the *destination* shard's fabric, then
-    /// charge the delivery counters. Mirrors the final iteration of
-    /// [`Switch::deliver`] — a pending or fabric-wide delay lands here, a
-    /// drop loses the packet after it crossed the link, and a duplicate
-    /// verdict ejects a stale second copy. Returns `None` on a drop, else
-    /// `(at, dup_at)`: the instant(s) the last byte reaches the
-    /// destination adapter.
+    /// Stage 3 of [`Switch::transit`]: classify and claim the packet's
+    /// ejection link, then charge the delivery counters. A pending or
+    /// fabric-wide delay lands here, a drop loses the packet after it
+    /// crossed the link, and a duplicate verdict ejects a stale second
+    /// copy. Returns `None` on a drop, else `(at, dup_at)`: the instant(s)
+    /// the last byte reaches the destination adapter. A sharded fabric runs
+    /// this stage on the shard owning the destination node.
     pub fn eject_phase(&mut self, mut t: StagedTransit) -> Option<(Time, Option<Time>)> {
         let ser = self.serialization(t.wire_bytes);
         let link = self.topo.ej_link(t.dst);
@@ -700,6 +620,10 @@ impl Switch {
         }
         self.finish(t.wire_bytes);
         self.stats.hops += t.hops;
+        // A duplicate is modeled as a stale copy surviving in the fabric and
+        // ejecting later: a second claim on the final link, recorded as a
+        // reserved window (like a delayed packet) so well-behaved successors
+        // are not serialized behind the far-future copy.
         let mut dup_at = None;
         if t.want_dup {
             let nominal = t.arrival + self.cfg.hop_latency * self.cfg.dup_fault_hops;
@@ -721,9 +645,11 @@ impl Switch {
         Some((t.arrival, dup_at))
     }
 
-    /// One downstream stage of a staged transit — the body of
-    /// [`Switch::deliver`]'s walk for a single link, operating on carried
-    /// state instead of loop locals. Returns `false` when the packet drops
+    /// One downstream stage of a transit: classify `link`, then claim it
+    /// one hop latency (plus any injected delay) after the previous stage.
+    /// Records the link's occupancy and one `SwitchHop` span on the track
+    /// of `prev_link`, the link the packet entered the stage from, with the
+    /// destination as its arg. Returns `false` when the packet drops
     /// crossing `link`.
     fn staged_hop(
         &mut self,
@@ -796,125 +722,6 @@ impl Switch {
         true
     }
 
-    /// Walk the packet along its path, claiming each link in order. `at_i`
-    /// for stage `i` is `max(at_{i-1} + hop_latency (+ injected extra),
-    /// link-free + ser)`: cut-through forwarding, paced by any contended
-    /// stage. For a single frame this reduces exactly to the historical
-    /// two-endpoint recurrence the golden pins are measured on.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        &mut self,
-        path: HopPath,
-        dst: usize,
-        ser: Dur,
-        ready: Time,
-        wire_bytes: usize,
-        global_delay: bool,
-        mut pending_delay: bool,
-        mut want_dup: bool,
-        route: usize,
-    ) -> Transit {
-        let links = path.links();
-        let last = links.len() - 1;
-        let extra = self.cfg.hop_latency * self.cfg.delay_fault_hops;
-        let start = self.claim_first(links[0], ready, ser, 0);
-        let mut got_delayed = false;
-        let mut hop_start = start;
-        let mut arrival = start + ser;
-        for (i, &link) in links.iter().enumerate().skip(1) {
-            let mut delayed = std::mem::take(&mut pending_delay);
-            match self.classify_link(link, arrival) {
-                FaultKind::Drop => {
-                    // The bytes cross this link, then are lost.
-                    let at =
-                        self.links[link as usize].claim(arrival + self.cfg.hop_latency, ser, false);
-                    self.stats.dropped += 1;
-                    if let Some(t) = &self.tracer {
-                        let track = self.track(link);
-                        t.span(
-                            (at - ser).as_ns(),
-                            at.as_ns(),
-                            track,
-                            Kind::LinkBusy,
-                            wire_bytes as u64,
-                        );
-                        t.instant(
-                            (at - ser).as_ns(),
-                            track,
-                            Kind::SwitchDrop,
-                            wire_bytes as u64,
-                        );
-                    }
-                    return Transit::Dropped;
-                }
-                FaultKind::Duplicate => want_dup = true,
-                FaultKind::Delay => delayed = true,
-                FaultKind::None => {}
-            }
-            if i == last && global_delay {
-                delayed = true;
-            }
-            got_delayed |= delayed;
-            let mut nominal = arrival + self.cfg.hop_latency;
-            if delayed {
-                nominal += extra;
-            }
-            let at = self.links[link as usize].claim(nominal, ser, delayed);
-            if let Some(t) = &self.tracer {
-                let track = self.track(link);
-                t.span((at - ser).as_ns(), at.as_ns(), track, Kind::LinkBusy, 0);
-                if delayed {
-                    t.instant(
-                        start.as_ns(),
-                        self.track(links[0]),
-                        Kind::SwitchDelayed,
-                        wire_bytes as u64,
-                    );
-                }
-                // One span per switch stage, on the track of the link the
-                // packet entered the stage from; arg is the destination.
-                t.span(
-                    hop_start.as_ns(),
-                    at.as_ns(),
-                    self.track(links[i - 1]),
-                    Kind::SwitchHop,
-                    dst as u64,
-                );
-            }
-            hop_start = at;
-            arrival = at;
-        }
-        if got_delayed {
-            self.stats.delayed += 1;
-        }
-        self.finish(wire_bytes);
-        self.stats.hops += last as u64;
-
-        // A duplicate is modeled as a stale copy surviving in the fabric and
-        // ejecting later: a second claim on the final link, recorded as a
-        // reserved window (like a delayed packet) so well-behaved successors
-        // are not serialized behind the far-future copy.
-        let mut dup_at = None;
-        if want_dup {
-            let link = links[last];
-            let nominal = arrival + self.cfg.hop_latency * self.cfg.dup_fault_hops;
-            let at = self.links[link as usize].claim(nominal, ser, true);
-            self.stats.duplicated += 1;
-            self.stats.wire_bytes += wire_bytes as u64;
-            if let Some(t) = &self.tracer {
-                let track = self.track(link);
-                t.span((at - ser).as_ns(), at.as_ns(), track, Kind::LinkBusy, 0);
-                t.instant(arrival.as_ns(), track, Kind::SwitchDup, wire_bytes as u64);
-            }
-            dup_at = Some(at);
-        }
-        Transit::Delivered {
-            at: arrival,
-            route,
-            dup_at,
-        }
-    }
-
     fn finish(&mut self, wire_bytes: usize) {
         self.stats.delivered += 1;
         self.stats.wire_bytes += wire_bytes as u64;
@@ -936,18 +743,32 @@ mod tests {
         }
     }
 
+    /// A packet dropped on its injection link still occupies that link;
+    /// the occupancy span carries arg 0 like every other `LinkBusy`, and
+    /// the wire bytes ride on the `SwitchDrop` instant at the injection
+    /// start.
     #[test]
     fn dropped_packets_count_and_trace() {
         let tracer = Tracer::new(2, 64);
         let mut s = sw(2);
         s.set_tracer(tracer.clone());
         s.set_fault_injector(FaultInjector::drop_at([0]));
-        assert_eq!(s.transit(0, 1, 256, Time::ZERO), Transit::Dropped);
+        assert_eq!(s.transit(0, 1, 256, Time(1_000)), Transit::Dropped);
         assert_eq!(s.stats().dropped, 1);
-        assert!(tracer
-            .snapshot()
+        let recs = tracer.snapshot();
+        let inj = Track::switch_inj(0);
+        let busy: Vec<_> = recs
             .iter()
-            .any(|r| r.kind == Kind::SwitchDrop && r.arg == 256));
+            .filter(|r| r.kind == Kind::LinkBusy && r.track == inj)
+            .collect();
+        assert_eq!(busy.len(), 1, "the injection link is still claimed");
+        assert_eq!(busy[0].at, 1_000);
+        assert_eq!(busy[0].arg, 0);
+        let drops: Vec<_> = recs.iter().filter(|r| r.kind == Kind::SwitchDrop).collect();
+        assert_eq!(drops.len(), 1);
+        assert_eq!(drops[0].track, inj);
+        assert_eq!(drops[0].at, busy[0].at, "drop fires at the injection start");
+        assert_eq!(drops[0].arg, 256);
     }
 
     #[test]
@@ -971,14 +792,110 @@ mod tests {
             .any(|r| r.kind == Kind::SwitchDup && r.arg == 256));
     }
 
-    /// The sharded two-phase transit must reproduce the serial fabric
-    /// exactly: same arrival instants, same stats, same route rotation.
+    /// The shard that runs the pipelined fabric stage (`FABRIC_SHARD` in
+    /// `sp-adapter`).
+    const FABRIC: usize = 0;
+
+    /// Split one fabric into per-shard fabrics the way `SpWorld::split`
+    /// does: every shard gets a fault-free copy, the fabric-wide injector
+    /// moves to the fabric shard (pipelined) or must be a no-op and is
+    /// sealed (two-phase), injection-link injectors go to whichever shard
+    /// runs the fabric stage, ejection-link injectors to the destination's
+    /// owner, and intermediate-link injectors to the fabric shard.
+    fn split(mut whole: Switch, owner: &[usize], shards: usize, pipelined: bool) -> Vec<Switch> {
+        let n = whole.nodes();
+        let (global, links) = whole.take_fault_injectors();
+        let mut parts: Vec<Switch> = (0..shards)
+            .map(|_| {
+                let mut s = Switch::with_topology(whole.topo.clone(), whole.cfg.clone());
+                if !pipelined {
+                    s.seal_global_fault();
+                }
+                s
+            })
+            .collect();
+        if pipelined {
+            parts[FABRIC].set_fault_injector(global);
+        } else {
+            assert!(
+                global.is_noop(),
+                "two-phase needs a no-op fabric-wide injector"
+            );
+        }
+        for (link, inj) in links.into_iter().enumerate() {
+            let Some(inj) = inj else { continue };
+            let sid = match link {
+                l if l < n && pipelined => FABRIC,
+                l if l < n => owner[l],
+                l if l < 2 * n => owner[l - n],
+                _ => FABRIC,
+            };
+            parts[sid].set_link_fault_injector(link as LinkId, inj);
+        }
+        parts
+    }
+
+    /// Run `sends` through one fabric built by `mk` with [`Switch::transit`],
+    /// and through the same fabric split over `shards` shards by `owner`,
+    /// each stage on the shard that owns it: the origin stage on the
+    /// source's owner, the fabric stage on the fabric shard (pipelined) or
+    /// the source's owner (two-phase), the eject stage on the
+    /// destination's owner. The sharded stages run as three passes over the
+    /// whole stream, so each stage sees the other stages' links and
+    /// injectors only through the carried [`StagedTransit`]. Outcomes,
+    /// merged stats and every pair's route counter must match.
+    fn assert_sharded_matches_one_fabric(
+        mk: impl Fn() -> Switch,
+        owner: &[usize],
+        shards: usize,
+        pipelined: bool,
+        sends: &[(usize, usize, usize, u64)],
+    ) {
+        let mut one = mk();
+        let want: Vec<Transit> = sends
+            .iter()
+            .map(|&(src, dst, bytes, ns)| one.transit(src, dst, bytes, Time(ns)))
+            .collect();
+        let mut parts = split(mk(), owner, shards, pipelined);
+        let staged: Vec<StagedTransit> = sends
+            .iter()
+            .map(|&(src, dst, bytes, ns)| parts[owner[src]].origin_phase(src, dst, bytes, Time(ns)))
+            .collect();
+        let staged: Vec<Option<StagedTransit>> = staged
+            .into_iter()
+            .map(|t| {
+                let fab = if pipelined { FABRIC } else { owner[t.src] };
+                parts[fab].fabric_phase(t)
+            })
+            .collect();
+        for ((t, want), &(src, dst, bytes, ns)) in staged.into_iter().zip(want).zip(sends) {
+            let got = t.and_then(|t| parts[owner[t.dst]].eject_phase(t));
+            match (want, got) {
+                (Transit::Delivered { at, dup_at, .. }, Some((gat, gdup))) => {
+                    assert_eq!(gat, at, "{src}->{dst} {bytes}B @ {ns}");
+                    assert_eq!(gdup, dup_at, "{src}->{dst} {bytes}B @ {ns}");
+                }
+                (Transit::Dropped, None) => {}
+                (w, g) => panic!("{src}->{dst} @ {ns}: one fabric {w:?} vs sharded {g:?}"),
+            }
+        }
+        let n = one.nodes();
+        for (pair, &rr) in one.route_rr.iter().enumerate() {
+            assert_eq!(parts[owner[pair / n]].route_rr[pair], rr, "pair {pair}");
+        }
+        let mut parts = parts.into_iter();
+        let mut merged = parts.next().unwrap();
+        for part in parts {
+            merged.absorb_stats(part.stats());
+        }
+        assert_eq!(merged.stats(), one.stats());
+    }
+
+    /// Two-phase sharding of a fault-free single frame: converging senders
+    /// and varied sizes exercise both the injection and the
+    /// shared-ejection contention paths across shard boundaries.
     #[test]
     fn two_phase_matches_serial_transit() {
-        let mut serial = sw(4);
-        let mut phased = sw(4);
-        // Converging senders + varied sizes exercise both the injection
-        // and the shared-ejection contention paths.
         let sends = [
             (0usize, 1usize, 256usize, 0u64),
             (2, 1, 64, 100),
@@ -987,18 +904,7 @@ mod tests {
             (1, 0, 256, 400),
             (2, 1, 512, 500),
         ];
-        for &(src, dst, bytes, ns) in &sends {
-            let ready = Time(ns);
-            let want = delivered(serial.transit(src, dst, bytes, ready));
-            let t = phased
-                .origin_phase(src, dst, bytes, ready, true)
-                .expect("fault-free origin never drops");
-            let (got, dup) = phased.eject_phase(t).expect("fault-free eject never drops");
-            assert_eq!(got, want, "{src}->{dst} {bytes}B @ {ns}");
-            assert_eq!(dup, None);
-        }
-        assert_eq!(phased.stats(), serial.stats());
-        assert_eq!(serial.route_rr, phased.route_rr);
+        assert_sharded_matches_one_fabric(|| sw(4), &[0, 1, 1, 0], 2, false, &sends);
     }
 
     /// Eject-phase claims may arrive out of nominal order across source
@@ -1006,8 +912,8 @@ mod tests {
     #[test]
     fn eject_phase_orders_by_claim_not_nominal() {
         let mut s = sw(3);
-        let t0 = s.origin_phase(0, 2, 256, Time::ZERO, true).unwrap();
-        let t1 = s.origin_phase(1, 2, 256, Time::ZERO, true).unwrap();
+        let t0 = s.origin_phase(0, 2, 256, Time::ZERO);
+        let t1 = s.origin_phase(1, 2, 256, Time::ZERO);
         assert_eq!(
             t0.arrival, t1.arrival,
             "independent injection links, same arrival"
@@ -1019,9 +925,10 @@ mod tests {
         assert_eq!(b - a, s.serialization(256), "second claim is paced");
     }
 
-    /// The two-phase mode with per-link injectors (origin classifies the
-    /// injection link, eject classifies the ejection link) must replicate
-    /// serial drops, dups, and delays packet for packet.
+    /// Two-phase sharding with per-link injectors: the source's owner
+    /// classifies its injection link in its fabric stage, the destination's
+    /// owner classifies the ejection link, and drops, dups and delays land
+    /// packet for packet as on one fabric.
     #[test]
     fn two_phase_with_link_faults_matches_serial() {
         let mk = || {
@@ -1036,8 +943,6 @@ mod tests {
             s.set_link_fault_injector(ej2, FaultInjector::drop_at([0]));
             s
         };
-        let mut serial = mk();
-        let mut staged = mk();
         let sends = [
             (0usize, 2usize, 256usize, 0u64),
             (0, 2, 64, 100),
@@ -1046,29 +951,14 @@ mod tests {
             (1, 2, 256, 400),
             (0, 2, 512, 500),
         ];
-        for &(src, dst, bytes, ns) in &sends {
-            let ready = Time(ns);
-            let want = serial.transit(src, dst, bytes, ready);
-            let got = staged
-                .origin_phase(src, dst, bytes, ready, true)
-                .and_then(|t| staged.eject_phase(t));
-            match (want, got) {
-                (Transit::Delivered { at, dup_at, .. }, Some((gat, gdup))) => {
-                    assert_eq!(gat, at, "{src}->{dst} {bytes}B @ {ns}");
-                    assert_eq!(gdup, dup_at, "{src}->{dst} {bytes}B @ {ns}");
-                }
-                (Transit::Dropped, None) => {}
-                (w, g) => panic!("{src}->{dst} @ {ns}: serial {w:?} vs staged {g:?}"),
-            }
-        }
-        assert_eq!(staged.stats(), serial.stats());
-        assert_eq!(serial.route_rr, staged.route_rr);
+        assert_sharded_matches_one_fabric(mk, &[0, 1, 2], 3, false, &sends);
     }
 
-    /// The pipelined mode (origin → fabric → eject) must replicate the
-    /// serial fabric across frames under fabric-wide and per-link faults,
-    /// including the serial coupling where a fabric-wide drop skips the
-    /// injection link's own classification.
+    /// Pipelined sharding across frames under fabric-wide and per-link
+    /// faults, with every node on its own shard: the fabric shard owns the
+    /// fabric-wide injector, the injection-link injectors and the cables,
+    /// including the coupling where a fabric-wide drop skips the injection
+    /// link's own classification.
     #[test]
     fn staged_pipeline_matches_serial_with_faults() {
         let mk = || {
@@ -1093,8 +983,6 @@ mod tests {
             s.set_link_fault_injector(cable, FaultInjector::drop_at([0]));
             s
         };
-        let mut serial = mk();
-        let mut staged = mk();
         let sends = [
             (0usize, 2usize, 256usize, 0u64), // inj0 delays its packet 0
             (0, 3, 64, 100),                  // clean cross-frame
@@ -1105,24 +993,7 @@ mod tests {
             (3, 0, 512, 600),                 // clean cross-frame
             (0, 2, 256, 700),                 // route 2: dropped at the cable
         ];
-        for &(src, dst, bytes, ns) in &sends {
-            let ready = Time(ns);
-            let want = serial.transit(src, dst, bytes, ready);
-            let got = staged
-                .origin_phase(src, dst, bytes, ready, false)
-                .and_then(|t| staged.fabric_phase(t))
-                .and_then(|t| staged.eject_phase(t));
-            match (want, got) {
-                (Transit::Delivered { at, dup_at, .. }, Some((gat, gdup))) => {
-                    assert_eq!(gat, at, "{src}->{dst} {bytes}B @ {ns}");
-                    assert_eq!(gdup, dup_at, "{src}->{dst} {bytes}B @ {ns}");
-                }
-                (Transit::Dropped, None) => {}
-                (w, g) => panic!("{src}->{dst} @ {ns}: serial {w:?} vs staged {g:?}"),
-            }
-        }
-        assert_eq!(staged.stats(), serial.stats());
-        assert_eq!(serial.route_rr, staged.route_rr);
+        assert_sharded_matches_one_fabric(mk, &[0, 1, 2, 3], 4, true, &sends);
     }
 
     #[test]
@@ -1150,23 +1021,13 @@ mod tests {
         assert!(!global.is_noop());
         assert_eq!(links.len(), s.topology().num_links());
         assert!(links[link as usize].as_ref().is_some_and(|f| !f.is_noop()));
-        assert!(s.fault_free());
-    }
-
-    #[test]
-    fn fault_free_detects_injectors() {
-        let mut s = sw(2);
-        assert!(s.fault_free());
-        s.set_fault_injector(FaultInjector::with_seed(3));
-        assert!(s.fault_free(), "a no-op injector is still fault-free");
-        s.set_fault_injector(FaultInjector::drop_at([5]));
-        assert!(!s.fault_free());
-        let mut s = sw(2);
-        let link = s.topology().ej_link(1);
-        s.set_link_fault_injector(link, FaultInjector::none());
-        assert!(s.fault_free());
-        s.set_link_fault_injector(link, FaultInjector::bernoulli(0.1, 1));
-        assert!(!s.fault_free());
+        let (global, links) = s.take_fault_injectors();
+        assert!(global.is_noop(), "the fabric-wide injector is gone");
+        assert_eq!(links.len(), s.topology().num_links());
+        assert!(
+            links.iter().all(Option::is_none),
+            "no per-link injector left"
+        );
     }
 
     #[test]

@@ -113,8 +113,8 @@ impl PartitionWindow {
     }
 }
 
-/// Per-packet fault plan. All selectors compose; see [`FaultKind::rank`]
-/// for precedence when several hit the same packet.
+/// Per-packet fault plan. All selectors compose; when several hit the same
+/// packet, `Drop` beats `Duplicate` beats `Delay`.
 #[derive(Debug)]
 pub struct FaultInjector {
     /// Drop every packet whose global index (0-based, in injection order)

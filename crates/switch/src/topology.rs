@@ -452,7 +452,7 @@ impl Topology {
         }
     }
 
-    /// The cable index (for [`Track::switch_xlink`]-style numbering) of a
+    /// The cable index (for [`sp_trace::Track::switch_xlink`]-style numbering) of a
     /// cable [`LinkId`], or `None` for endpoint links.
     pub fn cable_index(&self, link: LinkId) -> Option<usize> {
         let endpoints = 2 * self.nodes();

@@ -230,3 +230,186 @@ proptest! {
         }
     }
 }
+
+/// SplitMix64: a dependency-free generator, so the frozen battery below
+/// stays pinned whatever random-number crate the workspace carries.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// FNV-1a over u64 words, the construction the golden pins use.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+/// A per-link injector drawn from `rng`: none, a few explicit
+/// drop/dup/delay indices, or low-probability Bernoulli selectors.
+fn link_injector(rng: &mut SplitMix) -> Option<FaultInjector> {
+    match rng.below(4) {
+        0 | 1 => None,
+        2 => {
+            let mut f = FaultInjector::none();
+            f.drop_indices.insert(rng.below(12));
+            f.dup_indices.insert(rng.below(12));
+            f.delay_indices.insert(rng.below(12));
+            Some(f)
+        }
+        _ => {
+            let mut f = FaultInjector::with_seed(rng.next());
+            f.drop_probability = 0.04;
+            f.dup_probability = 0.04;
+            f.delay_probability = 0.04;
+            Some(f)
+        }
+    }
+}
+
+/// One fabric of the frozen battery: `topo` under `policy`, a fabric-wide
+/// injector (explicit drop/dup/delay indices, a Bernoulli drop window, a
+/// delay window and a partition) plus seeded per-link injectors on
+/// injection, ejection and cable/up/down links and one severed
+/// cable/up-link, driven by a seeded
+/// stream of sends (loopback included). Every outcome and the final
+/// stats are folded into `h`; the per-fabric stats are returned so the
+/// caller can check the battery really exercised each fault kind.
+fn frozen_run(
+    topo: Topology,
+    policy: RoutePolicy,
+    seed: u64,
+    h: &mut Fnv,
+) -> sp_switch::SwitchStats {
+    use sp_switch::{FaultKind, FaultWindow, PartitionWindow};
+    let mut rng = SplitMix(seed);
+    let cfg = SwitchConfig {
+        route_policy: policy,
+        ..SwitchConfig::default()
+    };
+    let mut sw = Switch::with_topology(topo, cfg);
+    let n = sw.nodes();
+    let mut global = FaultInjector::with_seed(seed ^ 0x5eed);
+    global.drop_indices.extend([3, 17, 40]);
+    global.dup_indices.extend([5, 22, 61]);
+    global.delay_indices.extend([8, 31, 77]);
+    global.windows.push(FaultWindow {
+        from: Time(200_000),
+        until: Time(320_000),
+        kind: FaultKind::Drop,
+        probability: 0.2,
+    });
+    global.windows.push(FaultWindow {
+        from: Time(400_000),
+        until: Time(450_000),
+        kind: FaultKind::Delay,
+        probability: 1.0,
+    });
+    global.partitions.push(PartitionWindow {
+        a_nodes: 1,
+        b_nodes: ((1u64 << n) - 1) & !1,
+        from: Time(600_000),
+        until: Time(700_000),
+    });
+    sw.set_fault_injector(global);
+    for link in 0..sw.topology().num_links() {
+        if let Some(f) = link_injector(&mut rng) {
+            sw.set_link_fault_injector(link as sp_switch::LinkId, f);
+        }
+    }
+    // A severed first cable / up-link: round-robin keeps feeding it,
+    // adaptive masks it out of selection.
+    let first_xlink = 2 * n;
+    if first_xlink < sw.topology().num_links() {
+        let mut dead = FaultInjector::none();
+        dead.drop_every_nth = Some(1);
+        sw.set_link_fault_injector(first_xlink as sp_switch::LinkId, dead);
+    }
+    let mut ready = Time::ZERO;
+    for _ in 0..600 {
+        // Bursts at one instant as well as spread-out sends.
+        if rng.below(3) != 0 {
+            ready = Time(ready.as_ns() + rng.below(4_000));
+        }
+        let src = rng.below(n as u64) as usize;
+        let dst = if rng.below(16) == 0 {
+            src
+        } else {
+            (src + 1 + rng.below(n as u64 - 1) as usize) % n
+        };
+        let bytes = 33 + rng.below(256) as usize;
+        match sw.transit(src, dst, bytes, ready) {
+            Transit::Delivered { at, route, dup_at } => {
+                h.word(1);
+                h.word(at.as_ns());
+                h.word(route as u64);
+                h.word(dup_at.map_or(u64::MAX, |d| d.as_ns()));
+            }
+            Transit::Dropped => h.word(0),
+        }
+    }
+    let s = sw.stats().clone();
+    for v in [
+        s.delivered,
+        s.dropped,
+        s.delayed,
+        s.duplicated,
+        s.wire_bytes,
+        s.hops,
+    ] {
+        h.word(v);
+    }
+    s
+}
+
+/// Frozen reference for the packet path. The fingerprint was captured by
+/// running this battery against the original serial `transit` walk, before
+/// `transit` became the composition of the staged phases; it pins every
+/// arrival instant, route, duplicate instant and drop, plus the final
+/// statistics, across a single frame, a multi-frame fabric and a
+/// three-tier fat tree under both routing policies.
+#[test]
+fn transit_matches_frozen_reference() {
+    const FROZEN: u64 = 0xea5f_ee7c_0e94_7b6a;
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut total = sp_switch::SwitchStats::default();
+    for (i, topo) in [
+        Topology::single_frame(4),
+        Topology::multi_frame(2, 2),
+        Topology::fat_tree_custom(3, 2, 1, 2, 2),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        for policy in [RoutePolicy::RoundRobin, RoutePolicy::Adaptive] {
+            let s = frozen_run(topo.clone(), policy, 0xC0FFEE + i as u64, &mut h);
+            total.dropped += s.dropped;
+            total.delayed += s.delayed;
+            total.duplicated += s.duplicated;
+            total.delivered += s.delivered;
+        }
+    }
+    // The battery must actually exercise every verdict.
+    assert!(total.dropped > 0 && total.delayed > 0 && total.duplicated > 0);
+    assert!(total.delivered > total.dropped);
+    if std::env::var_os("SP_GOLDEN_PRINT").is_some() {
+        println!("frozen transit fingerprint: {:#018x} ({total:?})", h.0);
+    }
+    assert_eq!(h.0, FROZEN, "transit diverged from the frozen reference");
+}
