@@ -194,47 +194,6 @@ pub(crate) struct ShardSlot {
     pub(crate) broadcast: bool,
 }
 
-/// Run-wide event budget shared by every shard of a run. Counts only
-/// serial-comparable events (wakes, calls, fast-path advances) — never
-/// `sync_events`, which are pure parallel overhead — so a sharded run trips
-/// [`SimError::EventBudgetExhausted`](crate::SimError::EventBudgetExhausted)
-/// at the same event count as a one-shard run instead of `num_shards`×
-/// later.
-pub(crate) struct GlobalBudget {
-    pub(crate) limit: u64,
-    pub(crate) used: std::sync::atomic::AtomicU64,
-}
-
-impl GlobalBudget {
-    pub(crate) fn new(limit: u64) -> Self {
-        GlobalBudget {
-            limit,
-            used: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Charge one event; `false` once the budget is exceeded. The caller on
-    /// this path is about to fail the run, so the overshoot is not undone.
-    pub(crate) fn charge(&self) -> bool {
-        use std::sync::atomic::Ordering;
-        self.used.fetch_add(1, Ordering::Relaxed) < self.limit
-    }
-
-    /// Charge one event if the budget allows, undoing the reservation and
-    /// returning `false` otherwise. Fast paths use this: a refusal falls
-    /// back to a real scheduled event, which then trips the budget on the
-    /// slow path with identical accounting.
-    pub(crate) fn try_charge(&self) -> bool {
-        use std::sync::atomic::Ordering;
-        if self.used.fetch_add(1, Ordering::Relaxed) < self.limit {
-            true
-        } else {
-            self.used.fetch_sub(1, Ordering::Relaxed);
-            false
-        }
-    }
-}
-
 pub(crate) struct Inner<W: Send + 'static> {
     pub(crate) world: W,
     pub(crate) now: Time,
@@ -247,11 +206,15 @@ pub(crate) struct Inner<W: Send + 'static> {
     /// Kept out of `events` so one-shard and sharded runs of the same
     /// config report identical `events`.
     pub(crate) sync_events: u64,
-    /// Run-wide budget, shared by all shards and with the fast path, so a
-    /// zero-cost spin loop still trips
+    /// Serial-comparable events (wakes, calls, fast-path advances) this
+    /// shard may still execute, so a zero-cost spin loop still trips
     /// [`SimError::EventBudgetExhausted`](crate::SimError::EventBudgetExhausted)
-    /// instead of livelocking. Charged for serial-comparable events only.
-    pub(crate) budget: Arc<GlobalBudget>,
+    /// instead of livelocking. A one-shard run starts it at the budget; a
+    /// sharded run's barrier resets it each window to what the whole run
+    /// has left, on every shard, so one window runs at most `num_shards ×`
+    /// that remainder. Never charged for `sync_events`, which are pure
+    /// parallel overhead.
+    pub(crate) budget_left: u64,
     /// Conservative-advance horizon: node fast paths may not move virtual
     /// time to or past it, and the drive loop only pops events strictly
     /// before it. `Time::MAX` in a one-shard run (no constraint).
@@ -348,18 +311,19 @@ impl<W: Send + 'static> Shared<W> {
     /// path applies only when (a) no pending event falls at or before
     /// `until` (strictly: same-time events were pushed with smaller
     /// sequence numbers and must run before a Wake would), (b) no unpark
-    /// signal is latched for this node, and (c) the event budget is not
-    /// exhausted — each fast advance replaces exactly one Wake event and is
-    /// charged against the budget.
+    /// signal is latched for this node, and (c) the shard's budget quota is
+    /// not spent — each fast advance replaces exactly one Wake event and is
+    /// charged against the quota.
     pub(crate) fn try_fast_advance(&self, id: NodeId, until: Time) -> bool {
         let mut inner = self.inner.lock();
         if inner.nodes[id.0].signal
             || until >= inner.horizon
             || inner.sched.queue.peek().is_some_and(|ev| ev.time <= until)
-            || !inner.budget.try_charge()
+            || inner.budget_left == 0
         {
             return false;
         }
+        inner.budget_left -= 1;
         inner.events += 1;
         debug_assert!(until >= inner.now, "fast advance went backwards");
         if let Some(t) = &inner.tracer {
@@ -396,8 +360,9 @@ impl<W: Send + 'static> Shared<W> {
         let fast = !inner.nodes[id.0].signal
             && until < inner.horizon
             && inner.sched.queue.peek().is_none_or(|ev| ev.time > until)
-            && inner.budget.try_charge();
+            && inner.budget_left > 0;
         if fast {
+            inner.budget_left -= 1;
             inner.events += 1;
             if let Some(t) = &inner.tracer {
                 t.span(

@@ -42,6 +42,37 @@
 //! synchronization overhead stays observable ([`SimReport::sync_events`],
 //! [`SimReport::windows`]).
 //!
+//! ## The window barrier
+//!
+//! A window is a few microseconds of host time on packet workloads, so the
+//! barrier keeps the kernel off its path the way SP AM keeps it off the
+//! message path: by polling memory. The last shard to arrive applies every
+//! inbox, opens the next window (horizon and budget quota on every shard),
+//! and only then publishes the new round in an atomic. A shard that arrives
+//! earlier spins on that atomic for at most [`SPIN_BUDGET`], then parks on
+//! the barrier's condvar. Between short bursts of spinning it yields its
+//! CPU, so when there are more runnable threads than cores (more shards
+//! than cores, or other runs in the same process) the shard still in its
+//! window gets the CPU. The run's calling thread waits on a condvar of its
+//! own that only the end of the run signals, so no window wakes it.
+//!
+//! ## Event budget
+//!
+//! [`Sim::set_event_budget`] counts serial-comparable events only (never
+//! sync events), and every shard charges a plain per-shard quota. A
+//! one-shard run's quota is the budget itself. A sharded run's barrier
+//! opens each window with a quota of `budget − used` on every shard, where
+//! `used` is the run's event count over the closed windows. A shard whose
+//! quota is spent stops at its next serial-comparable event and arrives
+//! flagged. The last arriver then fails the run if any shard is flagged or
+//! `used` exceeds the budget, so a sharded run fails exactly when its
+//! one-shard twin does, and it reports a deterministic `at`: the window
+//! horizon when it is finite, else the smallest flagged clock (the largest
+//! arrival clock if no shard is flagged). Only the verdict matches, not
+//! the work done: every shard gets the whole remainder, so a window can
+//! run up to `num_shards × (budget − used)` events before the barrier
+//! fails the run. That is still a bound, so a livelock still ends.
+//!
 //! ## Determinism
 //!
 //! Within a shard, events run in `(time, seq)` order. Across shards, every
@@ -54,17 +85,24 @@
 //! see `tests/parallel.rs` and the proptest equivalence suite.
 
 use crate::engine::{
-    broadcast_kind, exec_event, EvKind, EventCtx, EventFn, GlobalBudget, Inner, NState, NodeId,
-    NodeMeta, Sched, ShardProfile, ShardReport, ShardSlot, Shared, Sim, SimReport,
+    broadcast_kind, exec_event, EvKind, EventCtx, EventFn, Inner, NState, NodeId, NodeMeta, Sched,
+    ShardProfile, ShardReport, ShardSlot, Shared, Sim, SimReport,
 };
 use crate::error::SimError;
 use crate::node::{Baton, Drive, NodeCtx, ShutdownToken, WakeReason};
 use crate::time::{Dur, Time};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use sp_trace::{Kind as TraceKind, Tracer, Track};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// How long a shard that arrives early at the window barrier spins before
+/// it parks. Windows that close within it cost no sleep and no wake; the
+/// figure is not a tuning knob (budgets from 5 to 200 µs measure alike on
+/// `bulk`).
+const SPIN_BUDGET: Duration = Duration::from_micros(50);
 
 /// A timestamped inter-shard message produced by a world slice during a
 /// lookahead window (see [`Shardable::take_messages`]).
@@ -148,6 +186,11 @@ struct Arrive {
     now: Time,
     /// Cumulative executed events (serial-comparable + sync).
     counts: u64,
+    /// Cumulative serial-comparable events: what the budget counts.
+    events: u64,
+    /// The shard stopped because its budget quota was spent; `now` is its
+    /// clock at that point.
+    tripped: bool,
     /// Event-heap depth at arrival.
     heap: usize,
 }
@@ -188,7 +231,7 @@ struct GState<W: Send + 'static> {
     next: Vec<Option<Time>>,
     /// Drivers arrived at the current barrier round.
     arrived: usize,
-    /// Barrier generation counter.
+    /// Barrier generation counter; [`Core::round`] mirrors it.
     round: u64,
     /// Completed lookahead windows.
     windows: u64,
@@ -246,30 +289,69 @@ pub(crate) struct Core<W: Send + 'static> {
     owner: Arc<Vec<usize>>,
     lookahead: Dur,
     outbox: Outbox<W>,
+    /// The run's event budget ([`Sim::set_event_budget`]).
+    budget: u64,
     state: Mutex<GState<W>>,
+    /// Parked early barrier arrivers wait here for the next round.
     cv: Condvar,
+    /// The run's calling thread waits here for the end of the run.
+    done: Condvar,
     /// Mirror of `GState::stop` readable without the state lock (drive
     /// loops hold their shard lock and must not take the state lock).
     stopped: AtomicBool,
+    /// Mirror of `GState::round`, stored (Release) once the next window is
+    /// fully open, so a spinning arriver that sees it move may run on
+    /// without the state lock. The round only moves when a window opens.
+    round: AtomicU64,
     tracer: Option<Tracer>,
 }
 
 impl<W: Send + 'static> Core<W> {
-    /// End the run — with `err` as its failure unless an earlier one was
-    /// recorded — and release everyone. Callers must not hold any shard's
-    /// inner lock.
+    /// [`Core::stop`], taking the state lock. Callers must not hold any
+    /// shard's inner lock.
     fn halt(&self, err: Option<SimError>) {
-        let mut st = self.state.lock();
+        self.stop(&mut self.state.lock(), err);
+    }
+
+    /// End the run — with `err` as its failure unless an earlier one was
+    /// recorded — and release everyone.
+    fn stop(&self, st: &mut GState<W>, err: Option<SimError>) {
         if st.failed.is_none() {
             st.failed = err;
         }
-        self.stop(&mut st);
-    }
-
-    fn stop(&self, st: &mut GState<W>) {
         st.stop = true;
         self.stopped.store(true, Ordering::Release);
         self.cv.notify_all();
+        self.done.notify_all();
+    }
+
+    /// Wait, as an early arriver holding the state lock `st`, for the next
+    /// round: spin for up to [`SPIN_BUDGET`], then park. Returns `true` to
+    /// continue into the next window.
+    fn await_round<'a>(&'a self, st: MutexGuard<'a, GState<W>>) -> bool {
+        let round = st.round;
+        drop(st);
+        let deadline = Instant::now() + SPIN_BUDGET;
+        while Instant::now() < deadline {
+            for _ in 0..64 {
+                if self.round.load(Ordering::Acquire) != round {
+                    return true;
+                }
+                if self.stopped.load(Ordering::Acquire) {
+                    return false;
+                }
+                std::hint::spin_loop();
+            }
+            // With more runnable threads than CPUs (more shards than
+            // cores, or other runs in the process), let the shard still
+            // in its window have this CPU. Returns at once otherwise.
+            std::thread::yield_now();
+        }
+        let mut st = self.state.lock();
+        while st.round == round && !st.stop {
+            self.cv.wait(&mut st);
+        }
+        !st.stop
     }
 
     /// Close out the window that just ended (all shards arrived): charge
@@ -346,19 +428,32 @@ impl<W: Send + 'static> Core<W> {
         st.arrive[sid] = arrive;
         st.arrived += 1;
         if st.arrived < self.shards.len() {
-            let round = st.round;
-            while st.round == round && !st.stop {
-                self.cv.wait(&mut st);
-            }
-            return !st.stop;
+            return self.await_round(st);
         }
 
-        // Last arriver: close out the window's profile, deliver inboxes,
-        // recompute each receiver's next event, advance the horizon.
-        // Locking a shard's inner here is safe: every driver is at this
-        // barrier (in `cv.wait`, without its inner).
+        // Last arriver: close out the window's profile, check the budget,
+        // deliver inboxes, recompute each receiver's next event, open the
+        // next window. Locking a shard's inner here is safe: every driver
+        // is at this barrier (spinning or parked, without its inner).
         st.arrived = 0;
         self.finalize_window(&mut st);
+        // The run-wide budget check (module docs, "Event budget").
+        let used: u64 = st.arrive.iter().map(|a| a.events).sum();
+        let flagged = st.arrive.iter().filter(|a| a.tripped).map(|a| a.now).min();
+        if flagged.is_some() || used > self.budget {
+            let at = if st.window_horizon < Time::MAX {
+                st.window_horizon
+            } else {
+                flagged
+                    .unwrap_or_else(|| st.arrive.iter().map(|a| a.now).max().unwrap_or(Time::ZERO))
+            };
+            let err = SimError::EventBudgetExhausted {
+                at,
+                budget: self.budget,
+            };
+            self.stop(&mut st, Some(err));
+            return false;
+        }
         for dst in 0..self.shards.len() {
             let mut msgs = std::mem::take(&mut st.inbox[dst]);
             let mut unparks = std::mem::take(&mut st.unparks[dst]);
@@ -399,26 +494,56 @@ impl<W: Send + 'static> Core<W> {
         match m {
             None => {
                 // Every queue drained and no traffic in flight: done.
-                st.round += 1;
-                self.stop(&mut st);
+                self.stop(&mut st, None);
                 false
             }
             Some(m) => {
                 let horizon = m.saturating_add(self.lookahead);
                 for s in &self.shards {
-                    s.inner.lock().horizon = horizon;
+                    let mut inner = s.inner.lock();
+                    inner.horizon = horizon;
+                    inner.budget_left = self.budget - used;
                 }
                 st.window_start = m;
                 st.window_horizon = horizon;
                 st.windows += 1;
-                st.round += 1;
                 if let Some(t) = &self.tracer {
-                    t.instant(m.as_ns(), Track::ENGINE, TraceKind::ShardBarrier, st.round);
+                    t.instant(
+                        m.as_ns(),
+                        Track::ENGINE,
+                        TraceKind::ShardBarrier,
+                        st.round + 1,
+                    );
                 }
+                // Publish the round only now that the window is open, and
+                // release every early arriver.
+                st.round += 1;
+                self.round.store(st.round, Ordering::Release);
                 self.cv.notify_all();
                 true
             }
         }
+    }
+
+    /// Flush this shard's outbound traffic and arrive at the window barrier
+    /// (`tripped`: its budget quota is spent). Returns the barrier's
+    /// verdict: `true` to continue into the next window.
+    fn arrive(&self, sid: usize, mut inner: MutexGuard<'_, Inner<W>>, tripped: bool) -> bool {
+        let msgs = (self.outbox)(&mut inner.world);
+        let unparks = match &mut inner.shard {
+            Some(s) => std::mem::take(&mut s.remote_unparks),
+            None => Vec::new(),
+        };
+        let next = inner.sched.peek_time();
+        let arrive = Arrive {
+            now: inner.now,
+            counts: inner.events + inner.sync_events,
+            events: inner.events,
+            tripped,
+            heap: inner.sched.len(),
+        };
+        drop(inner);
+        self.barrier(sid, msgs, unparks, next, arrive)
     }
 
     /// One shard's event loop: pop-and-execute below the horizon, grant
@@ -443,19 +568,7 @@ impl<W: Send + 'static> Core<W> {
                     return Drive::Shutdown;
                 }
                 // Window exhausted: flush outbound traffic and synchronize.
-                let msgs = (self.outbox)(&mut inner.world);
-                let unparks = match &mut inner.shard {
-                    Some(s) => std::mem::take(&mut s.remote_unparks),
-                    None => Vec::new(),
-                };
-                let next = inner.sched.peek_time();
-                let arrive = Arrive {
-                    now: inner.now,
-                    counts: inner.events + inner.sync_events,
-                    heap: inner.sched.len(),
-                };
-                drop(inner);
-                if !self.barrier(sid, msgs, unparks, next, arrive) {
+                if !self.arrive(sid, inner, false) {
                     return Drive::Shutdown;
                 }
                 inner = shared.inner.lock();
@@ -471,26 +584,28 @@ impl<W: Send + 'static> Core<W> {
                         ev.time.as_ns(),
                     );
                 }
-            } else {
-                inner.events += 1;
-                // The event budget is one run-wide atomic shared by every
-                // shard and charged for serial-comparable events only, so a
-                // sharded run trips at the same global event count as its
-                // one-shard twin (not `num_shards`× later). The reported
-                // `at` is the window horizon — deterministic for a fixed
-                // shard count, where the tripping shard's local clock is
-                // not — or, with no horizon, the shard's clock.
-                if !inner.budget.charge() {
-                    let at = if horizon == Time::MAX {
-                        inner.now
-                    } else {
-                        horizon
-                    };
-                    let budget = inner.budget.limit;
+            } else if inner.budget_left == 0 {
+                // The budget counts serial-comparable events only, and this
+                // shard's quota for the window is spent. One shard: the run
+                // is over budget, tripping at the clock. Sharded: arrive
+                // flagged and let the last arriver fail the run, with an
+                // `at` that does not depend on which shard got there first
+                // (module docs, "Event budget").
+                if self.shards.len() == 1 {
+                    let at = inner.now;
                     drop(inner);
-                    self.halt(Some(SimError::EventBudgetExhausted { at, budget }));
-                    return Drive::Shutdown;
+                    self.halt(Some(SimError::EventBudgetExhausted {
+                        at,
+                        budget: self.budget,
+                    }));
+                } else {
+                    let go_on = self.arrive(sid, inner, true);
+                    debug_assert!(!go_on, "a flagged arrival must end the run");
                 }
+                return Drive::Shutdown;
+            } else {
+                inner.budget_left -= 1;
+                inner.events += 1;
             }
             debug_assert!(ev.time >= inner.now, "shard queue went backwards");
             inner.now = ev.time;
@@ -587,7 +702,6 @@ impl<W: Send + 'static> Sim<W> {
         let programs = std::mem::take(&mut self.programs);
         let num_nodes = programs.len();
         let tracer = self.tracer.take();
-        let budget = Arc::new(GlobalBudget::new(self.event_budget));
         let mut shards = Vec::with_capacity(num_shards);
         for (sid, world) in worlds.into_iter().enumerate() {
             let mut sched = Sched::new();
@@ -621,7 +735,7 @@ impl<W: Send + 'static> Sim<W> {
                     nodes,
                     events: 0,
                     sync_events: 0,
-                    budget: budget.clone(),
+                    budget_left: self.event_budget,
                     // Sharded: nothing may run until the first barrier opens
                     // the first window. One shard: no barrier, no bound.
                     horizon: if sharded { Time::ZERO } else { Time::MAX },
@@ -641,9 +755,12 @@ impl<W: Send + 'static> Sim<W> {
             owner: owner.clone(),
             lookahead,
             outbox,
+            budget: self.event_budget,
             state: Mutex::new(GState::new(num_shards)),
             cv: Condvar::new(),
+            done: Condvar::new(),
             stopped: AtomicBool::new(false),
+            round: AtomicU64::new(0),
             tracer,
         });
 
@@ -705,11 +822,12 @@ impl<W: Send + 'static> Sim<W> {
             core.drive(0, None);
         }
 
-        // Wait for completion (clean or failed).
+        // Wait for completion (clean or failed) on the run's own condvar:
+        // only the end of the run wakes it, never a window.
         {
             let mut st = core.state.lock();
             while !st.stop {
-                core.cv.wait(&mut st);
+                core.done.wait(&mut st);
             }
         }
         // Unwind every node thread still blocked on (or about to block on)
@@ -781,9 +899,11 @@ impl<W: Shardable> Sim<W> {
     /// node count; the requested value is recorded in
     /// [`SimReport::shards_requested`] and a clamp is flagged in the
     /// experiment binaries' `[parallel]` summary line. The event budget
-    /// ([`Sim::set_event_budget`]) is one run-wide atomic shared by all
-    /// shards, charged for serial-comparable events only, so one-shard and
-    /// sharded runs trip `EventBudgetExhausted` at the same event count.
+    /// ([`Sim::set_event_budget`]) counts serial-comparable events only.
+    /// Each shard charges its own quota, which the barrier resets every
+    /// window to what the run has left, so a sharded run fails with
+    /// `EventBudgetExhausted` exactly when its one-shard twin does, and the
+    /// reported `at` is the same for every run of a given shard count.
     pub fn run_parallel(mut self, num_shards: usize) -> Result<SimReport<W>, SimError> {
         assert!(num_shards >= 1, "need at least one shard");
         let requested_shards = num_shards;
@@ -1221,36 +1341,110 @@ mod tests {
         assert_eq!(tie_break_run(3), serial, "sharded tie-break diverged");
     }
 
-    /// Regression: serial and parallel runs share one global event budget
-    /// and report the same pinned budget value when they trip it. Before
-    /// the shared `GlobalBudget`, each shard carried its own copy of the
-    /// budget and a sharded run could execute up to `shards *` budget
-    /// events before any shard tripped.
-    #[test]
-    fn budget_error_pins_same_value_serial_and_parallel() {
-        let run = |shards: usize| {
-            let mut sim = Sim::new((), 0);
-            sim.set_event_budget(300);
-            for i in 0..4 {
-                sim.spawn(format!("spin{i}"), |ctx| loop {
-                    ctx.advance(Dur::ns(1));
-                });
-            }
-            if shards <= 1 {
-                sim.run()
-            } else {
-                sim.run_parallel(shards)
-            }
-        };
-        let trip = |r: Result<SimReport<()>, SimError>| match r {
+    /// `nodes` spinning nodes on the unit world (unbounded lookahead: one
+    /// window) under an event budget of 300. Node `i` advances `step(i)` ns
+    /// per iteration and, when `stop(i)` is `Some(n)`, returns after `n`.
+    fn budget_run(
+        shards: usize,
+        nodes: usize,
+        step: fn(usize) -> u64,
+        stop: fn(usize) -> Option<usize>,
+    ) -> Result<SimReport<()>, SimError> {
+        let mut sim = Sim::new((), 0);
+        sim.set_event_budget(300);
+        for i in 0..nodes {
+            let (d, n) = (Dur::ns(step(i)), stop(i).unwrap_or(usize::MAX));
+            sim.spawn(format!("spin{i}"), move |ctx| {
+                for _ in 0..n {
+                    ctx.advance(d);
+                }
+            });
+        }
+        if shards <= 1 {
+            sim.run()
+        } else {
+            sim.run_parallel(shards)
+        }
+    }
+
+    fn trip(r: Result<SimReport<()>, SimError>) -> (Time, u64) {
+        match r {
             Err(SimError::EventBudgetExhausted { at, budget }) => (at, budget),
             other => panic!("expected budget exhaustion, got {other:?}"),
-        };
+        }
+    }
+
+    /// Serial and parallel runs of a workload that never ends both trip
+    /// the event budget and report the same budget value; the one-shard
+    /// trip keeps its pinned clock. (It checks the verdict, not how many
+    /// events ran: a sharded window may run up to `shards ×` the budget
+    /// left, see the module docs.)
+    #[test]
+    fn budget_error_pins_same_value_serial_and_parallel() {
+        let run = |shards| budget_run(shards, 4, |_| 1, |_| None);
         // One shard has no window horizon, so `at` is its clock when the
         // budget ran out — pinned to the value the engine has always given.
         assert_eq!(trip(run(1)), (Time(74), 300));
         for shards in [2, 4] {
             assert_eq!(trip(run(shards)).1, 300, "shards={shards}");
+        }
+    }
+
+    /// A sharded budget trip reports one `(at, budget)` per configuration,
+    /// however the shards' threads interleave: with even loads and with
+    /// uneven ones (different step sizes, and nodes that finish early so
+    /// their shard drains before the others trip). A run-wide atomic
+    /// reported the clock of whichever shard charged it last.
+    #[test]
+    fn sharded_budget_trip_is_deterministic() {
+        type Load = (usize, fn(usize) -> u64, fn(usize) -> Option<usize>);
+        let loads: [(&str, Load); 2] = [
+            ("even", (4, |_| 1, |_| None)),
+            (
+                "uneven",
+                (6, |i| 1 + i as u64 % 3, |i| (i < 2).then_some(10 * (i + 1))),
+            ),
+        ];
+        for (name, (nodes, step, stop)) in loads {
+            for shards in [2, 3, 4] {
+                let first = trip(budget_run(shards, nodes, step, stop));
+                assert_eq!(first.1, 300);
+                for _ in 1..20 {
+                    assert_eq!(
+                        trip(budget_run(shards, nodes, step, stop)),
+                        first,
+                        "{name} load, shards={shards}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The parking half of the barrier wait: the peer shard drains and
+    /// waits at the barrier while the bad node holds its host thread for
+    /// far longer than [`SPIN_BUDGET`], so the peer has stopped spinning
+    /// and parked by the time the panic ends the run. The run must still
+    /// report the panic (`parallel_node_panic_is_reported` covers a peer
+    /// that is still spinning).
+    #[test]
+    fn parallel_node_panic_reaches_a_parked_peer() {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let mut sim = Sim::new((), 0);
+        sim.spawn("slow-bad", |ctx| {
+            ctx.advance(Dur::ns(1));
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            panic!("boom");
+        });
+        sim.spawn("done-early", |ctx| ctx.advance(Dur::ns(1)));
+        let out = sim.run_parallel(2);
+        std::panic::set_hook(prev);
+        match out {
+            Err(SimError::NodePanicked { node, message }) => {
+                assert_eq!(node, "slow-bad");
+                assert!(message.contains("boom"));
+            }
+            other => panic!("expected node panic, got {other:?}"),
         }
     }
 
