@@ -86,8 +86,7 @@ pub fn ring_doorbell<P: Send + Clone + 'static>(ctx: &mut SpCtx<P>, count: usize
         }
     });
     if kick {
-        let gen = ctx.now().as_ns();
-        ctx.schedule_hot(scan, fw_send_step, src as u64, gen);
+        ctx.schedule_hot_ranked(scan, src as u32, fw_send_step, src as u64, 0);
     }
 }
 

@@ -110,7 +110,9 @@ pub(crate) struct Adapter<P> {
 impl<P> Adapter<P> {
     pub(crate) fn new(send_capacity: usize, recv_capacity: usize) -> Self {
         Adapter {
-            send_fifo: VecDeque::with_capacity(send_capacity),
+            // Grown on demand: a sharded world's unowned placeholder
+            // adapters never hold a packet, so they allocate nothing.
+            send_fifo: VecDeque::new(),
             send_capacity,
             fw_send_active: false,
             send_stall_until: sp_sim::Time::ZERO,

@@ -4,8 +4,8 @@
 use crate::config::AdapterConfig;
 use crate::unit::{Adapter, AdapterStats, WirePacket};
 use sp_machine::CostModel;
-use sp_sim::{Dur, EventCtx, ShardMsg, Shardable, Time};
-use sp_switch::{LinkId, RoutePolicy, StagedTransit, Switch, SwitchConfig, Topology, Transit};
+use sp_sim::{Dur, EventCtx, ShardMsg, Shardable, Tie, Time};
+use sp_switch::{LinkId, StagedTransit, Switch, SwitchConfig, Topology, Transit};
 use sp_trace::{Kind, Tracer, Track};
 
 /// Configuration of a whole simulated SP partition.
@@ -24,10 +24,11 @@ pub struct SpConfig {
     /// Number of engine shards to run the simulation on (1 = one shard,
     /// exactly [`sp_sim::Sim::run`]; >= 2 splits the world across
     /// [`sp_sim::Sim::run_parallel`] shards).
-    /// Multi-frame topologies, fault injection, and pre-scheduled world
-    /// events all run sharded with results bit-identical to serial; the
-    /// one remaining restriction is round-robin routing (the adaptive
-    /// policy reads link occupancy across shards).
+    /// Every configuration runs sharded: multi-frame topologies, both
+    /// routing policies, fault injection, and pre-scheduled world events.
+    /// Results match the one-shard run, except that a world event which
+    /// changes the fabric mid-run reaches packets sent up to one lookahead
+    /// before it (ROADMAP item 9).
     pub parallel: usize,
 }
 
@@ -94,7 +95,7 @@ impl SpConfig {
 
     /// The same partition simulated on `shards` engine shards (builder
     /// style): `SpConfig::thin(8).parallel(4)`. `1` keeps one shard; see
-    /// [`SpConfig::parallel`] for the restrictions `>= 2` imposes.
+    /// [`SpConfig::parallel`].
     pub fn parallel(mut self, shards: usize) -> Self {
         self.parallel = shards;
         self
@@ -140,27 +141,29 @@ pub(crate) enum ShardMode {
     /// Single frame, no fabric-wide injector: the fabric stage runs on the
     /// origin shard right after the origin stage, and one message hop
     /// (lookahead `L`) later the destination shard finishes at the
-    /// ejection link.
+    /// ejection link. Same-frame paths have no intermediate link, so the
+    /// route is the pair's round-robin counter under either policy.
     TwoPhase,
     /// Multi-frame topology and/or a live fabric-wide injector: the fabric
-    /// stage runs on [`FABRIC_SHARD`], which owns the fabric-wide
-    /// injector, every injection-link injector and every intermediate
-    /// link, so it classifies those streams and claims those links in
-    /// serial order. Two message hops of lookahead `L/2` each.
+    /// stage runs on [`FABRIC_SHARD`], which owns every pair's route
+    /// counter, the fabric-wide injector, every injection-link injector
+    /// and every intermediate link, so it chooses routes, classifies those
+    /// streams and claims those links in serial order. Two message hops of
+    /// lookahead `L/2` each.
     Pipelined,
 }
 
 /// The shard that runs the pipelined mode's fabric stage. Any fixed shard
-/// works (the stage only needs *one* owner for the fabric-wide injector,
-/// the injection-link injectors, and the intermediate links); shard 0
-/// always exists.
+/// works (the stage only needs *one* owner for the route counters, the
+/// fabric-wide injector, the injection-link injectors, and the
+/// intermediate links); shard 0 always exists.
 pub(crate) const FABRIC_SHARD: usize = 0;
 
 /// A packet advancing through the sharded fabric's staged pipeline. The
 /// carried [`StagedTransit`] holds the original (unshifted) fabric
 /// timestamps and accumulated fault verdicts, so every stage classifies
-/// and claims with inputs bit-identical to a one-shard [`Switch::transit`]
-/// no matter which shard executes it.
+/// and claims with the inputs a one-shard [`Switch::transit`] uses, no
+/// matter which shard executes it.
 pub enum SpMsg<P> {
     /// Final stage, on the shard owning the destination node: classify and
     /// claim the ejection link, then chain into firmware receive.
@@ -170,17 +173,17 @@ pub enum SpMsg<P> {
         /// Carried fabric state (see [`Switch::eject_phase`]).
         t: StagedTransit,
     },
-    /// Pipelined middle stage, on the fabric shard: fabric-wide and
-    /// injection-link classification plus the intermediate links of a
-    /// cross-frame path (see [`Switch::fabric_phase`]).
+    /// Pipelined middle stage, on the fabric shard: route choice,
+    /// fabric-wide and injection-link classification, and the intermediate
+    /// links of a cross-frame path (see [`Switch::fabric_phase`]).
     Fabric {
         /// The in-flight packet.
         pkt: WirePacket<P>,
         /// Carried fabric state.
         t: StagedTransit,
-        /// The generating send event's ordering stamp, re-used as the
-        /// forwarded ejection message's [`ShardMsg::seq`].
-        gen: u64,
+        /// The generating send event's [`Tie`], re-used as the forwarded
+        /// ejection message's [`ShardMsg::tie`].
+        tie: Tie,
     },
 }
 
@@ -374,15 +377,15 @@ impl<P: Send + 'static> SpWorld<P> {
 ///
 /// This and the chains it feeds are allocation-free `Hot` events
 /// (`fn(ctx, u64, u64)`): the node id / FIFO slot ride as the integer
-/// arguments and in-flight packets park in [`InflightSlab`]. The second
-/// argument, `gen`, is the instant this event was *scheduled* (as ns):
-/// the order the serial engine assigns event sequence numbers, which the
-/// sharded mode stamps into outbound [`ShardMsg::seq`] so same-nanosecond
-/// sends from different shards claim shared links in serial order.
+/// arguments and in-flight packets park in [`InflightSlab`]. Every send
+/// step is ranked by its node ([`EventCtx::schedule_hot_ranked_at`]), and
+/// the sharded mode stamps the step's [`Tie`] into its outbound
+/// [`ShardMsg::tie`], so sends due at the same instant claim shared links
+/// in one order — scheduling instant, then node — at any shard count.
 pub(crate) fn fw_send_step<P: Send + Clone + 'static>(
     e: &mut EventCtx<'_, SpWorld<P>>,
     node: u64,
-    gen: u64,
+    _: u64,
 ) {
     let node = node as usize;
     let now = e.now();
@@ -390,7 +393,7 @@ pub(crate) fn fw_send_step<P: Send + Clone + 'static>(
     // the stall expires.
     let stall = e.world().adapters[node].send_stall_until;
     if now < stall {
-        e.schedule_hot_at(stall, fw_send_step, node as u64, now.as_ns());
+        e.schedule_hot_ranked_at(stall, node as u32, fw_send_step, node as u64, 0);
         return;
     }
     let (pkt, done) = {
@@ -417,12 +420,13 @@ pub(crate) fn fw_send_step<P: Send + Clone + 'static>(
         }
     };
     let dst = pkt.dst;
+    let tie = e.tie();
     // Sharded mode stages every non-loopback transit through the outbox:
     // the injection link is claimed here on the source shard, and the
     // remaining stages each run exactly one lookahead later as
     // barrier-applied sync events, so the counted event stream stays
     // identical to the serial engine. Every eject (same-shard destinations
-    // included) rides the outbox so the barrier's `(ts, seq)` sort orders
+    // included) rides the outbox so the barrier's `(ts, tie)` sort orders
     // all claims of a shared link the way the serial event queue would.
     // Loopback never enters the fabric and keeps the one-shard path.
     let direct = {
@@ -439,12 +443,12 @@ pub(crate) fn fw_send_step<P: Send + Clone + 'static>(
                         .switch
                         .fabric_phase(t)
                         .map(|t| (sh.owner[dst], SpMsg::Eject { pkt, t })),
-                    ShardMode::Pipelined => Some((FABRIC_SHARD, SpMsg::Fabric { pkt, t, gen })),
+                    ShardMode::Pipelined => Some((FABRIC_SHARD, SpMsg::Fabric { pkt, t, tie })),
                 };
                 if let Some((dst_shard, msg)) = staged {
                     sh.outbox.push(ShardMsg {
                         ts: now + sh.lookahead,
-                        seq: gen,
+                        tie,
                         dst_shard,
                         msg,
                     });
@@ -460,7 +464,7 @@ pub(crate) fn fw_send_step<P: Send + Clone + 'static>(
     if let Some((pkt, at, dup_at)) = direct {
         recv_at(e, pkt, at, dup_at);
     }
-    e.schedule_hot_at(done, fw_send_step, node as u64, now.as_ns());
+    e.schedule_hot_ranked_at(done, node as u32, fw_send_step, node as u64, 0);
 }
 
 /// Hand a packet that crossed the switch to its destination's receive
@@ -489,7 +493,7 @@ fn recv_at<P: Send + Clone + 'static>(
 /// and the ejection link's occupancy — not on the instant this event
 /// executes — so running it a constant shift after injection reproduces
 /// the serial claim exactly, as long as per-link claim order is preserved
-/// (which the barrier's `(ts, seq)` sort guarantees).
+/// (which the barrier's `(ts, tie)` sort guarantees).
 fn eject_and_recv<P: Send + Clone + 'static>(
     e: &mut EventCtx<'_, SpWorld<P>>,
     pkt: WirePacket<P>,
@@ -572,11 +576,13 @@ fn deliver_step<P: Send + 'static>(e: &mut EventCtx<'_, SpWorld<P>>, dst: u64, s
 /// * **Two-phase** (single frame, no fabric-wide injector): the origin
 ///   shard claims the injection link and runs the fabric stage right
 ///   away. Its fabric-wide injector is a sealed no-op and it owns its
-///   nodes' injection-link injectors, so it classifies each of those
-///   streams in serial order. One message hop later the destination's
-///   owner classifies and claims the ejection link. That
-///   claim lands at `nominal >= send_event_time + fw_send_per_packet +
-///   dma(wire) + serialization(wire) + hop_latency`; with `serialization
+///   nodes' injection-link injectors and route counters, so it classifies
+///   each of those streams in serial order; with no intermediate link to
+///   score, adaptive routing keeps the round-robin sequence. One message
+///   hop later the destination's owner classifies and claims the ejection
+///   link. That claim lands at `nominal >= send_event_time +
+///   fw_send_per_packet + dma(wire) + serialization(wire) +
+///   hop_latency`; with `serialization
 ///   = for_bytes(wire) + packet_gap` and `dma, for_bytes > 0`, the bound
 ///   `L = fw_send_per_packet + packet_gap + hop_latency` (≈ 4.63 µs at
 ///   default calibration) is strictly below every nominal — so the eject
@@ -585,29 +591,30 @@ fn deliver_step<P: Send + 'static>(e: &mut EventCtx<'_, SpWorld<P>>, dst: u64, s
 ///   instant it computes.
 /// * **Pipelined** (multi-frame topology and/or a live fabric-wide
 ///   injector): two message hops — origin (injection-link claim) →
-///   fabric shard (fabric-wide + injection-link classification, plus the
-///   intermediate links of a cross-frame path) → destination owner
-///   (ejection).
+///   fabric shard (route choice, fabric-wide + injection-link
+///   classification, plus the intermediate links of a cross-frame path) →
+///   destination owner (ejection).
 ///   Each hop shifts the stage timestamp by the declared lookahead
 ///   `W = L / 2`, so the eject stage lands at `send_event_time + 2W <=
 ///   send_event_time + L`, still strictly below every delivery instant;
 ///   the fabric stage at `send_event_time + W` precedes its first
 ///   intermediate claim by the same argument. Concentrating the
-///   fabric-wide injector, all injection-link injectors, and the
-///   intermediate links on one shard keeps each injector's classification
-///   stream — and each link's claim order — identical to serial,
-///   including the coupling where a fabric-wide drop skips the injection
-///   link's own classification.
+///   route counters, the fabric-wide injector, all injection-link
+///   injectors, and the intermediate links on one shard keeps each
+///   injector's classification stream — and each link's claim order —
+///   identical to serial, including the coupling where a fabric-wide drop
+///   skips the injection link's own classification. The adaptive policy
+///   scores only the intermediate links (plus whether the injection link
+///   was busy, carried in the [`StagedTransit`]), so its choice reads the
+///   same occupancy as the one-shard walk.
 ///
-/// Claims and classifications replay in the serial engine's event order
-/// because every stage of a per-link stream carries the same constant
-/// shift, and the barrier applies messages in `(ts, seq)` order where
-/// `seq` is the generating send event's *scheduling* instant — the order
-/// the serial engine assigns event sequence numbers. Same-nanosecond
-/// sends from different shards therefore claim shared links exactly as
-/// serial does; the only residual tie (two sends scheduled at the same
-/// instant *and* firing at the same instant) falls back to source-shard
-/// order.
+/// Claims and classifications replay in the one-shard engine's event
+/// order because every stage of a per-link stream carries the same
+/// constant shift, and the barrier applies messages in `(ts, tie)` order
+/// where `tie` is the generating send step's [`Tie`]: the instant it was
+/// scheduled, then its node. The one-shard queue orders those send steps
+/// the same way, so same-instant sends from different shards claim shared
+/// links in one order at any shard count.
 impl<P: Send + Clone + 'static> Shardable for SpWorld<P> {
     type Msg = SpMsg<P>;
 
@@ -624,12 +631,6 @@ impl<P: Send + Clone + 'static> Shardable for SpWorld<P> {
 
     fn split(self, num_shards: usize, owner: &[usize]) -> Vec<Self> {
         let topo = self.switch.topology().clone();
-        assert_eq!(
-            self.switch.config().route_policy,
-            RoutePolicy::RoundRobin,
-            "parallel SpWorld requires round-robin routing \
-             (adaptive routing reads link occupancy across shards)"
-        );
         let mode = if self.pipelined_split() {
             ShardMode::Pipelined
         } else {
@@ -741,7 +742,7 @@ impl<P: Send + Clone + 'static> Shardable for SpWorld<P> {
     fn apply_msg(e: &mut EventCtx<'_, Self>, msg: SpMsg<P>) {
         match msg {
             SpMsg::Eject { pkt, t } => eject_and_recv(e, pkt, t),
-            SpMsg::Fabric { pkt, t, gen } => {
+            SpMsg::Fabric { pkt, t, tie } => {
                 let now = e.now();
                 let w = e.world();
                 if let Some(t2) = w.switch.fabric_phase(t) {
@@ -750,7 +751,7 @@ impl<P: Send + Clone + 'static> Shardable for SpWorld<P> {
                     let dst_shard = sh.owner[t2.dst];
                     sh.outbox.push(ShardMsg {
                         ts,
-                        seq: gen,
+                        tie,
                         dst_shard,
                         msg: SpMsg::Eject { pkt, t: t2 },
                     });

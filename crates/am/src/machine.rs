@@ -186,10 +186,12 @@ impl AmMachine {
     }
 
     /// Run to completion on [`SpConfig::parallel`] conservative-parallel
-    /// shards (one shard by default). Multi-frame topologies, fault
-    /// injection, and [`AmMachine::schedule_world_at`] all replay
-    /// identically under any shard count; adaptive routing is the one
-    /// remaining serial-only feature.
+    /// shards (one shard by default). Multi-frame topologies, both
+    /// routing policies, fault injection, and
+    /// [`AmMachine::schedule_world_at`] all run sharded and match the
+    /// one-shard run, except that a world event which changes the fabric
+    /// mid-run reaches packets sent up to one lookahead before it (ROADMAP
+    /// item 9).
     pub fn run(self) -> Result<AmReport, SimError> {
         assert_eq!(self.spawned, self.nodes, "every node needs a program");
         let mem = self.mem;

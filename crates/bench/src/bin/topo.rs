@@ -9,12 +9,12 @@
 //! cargo run --bin topo -- --parallel 4
 //! ```
 //!
-//! `--parallel N` runs only the dead-cable fault-latency experiment, once
-//! serial and once sharded N ways on the conservative-parallel engine, and
-//! fails (exit 1) unless every headline metric — post-kill round-trip
-//! digest, sample count, and fabric drops — matches exactly. This is the
-//! CI guard that fault injection plus mid-run world events replay
-//! identically under sharding.
+//! `--parallel N` runs only the dead-cable fault-latency experiment under
+//! each routing policy, once serial and once sharded N ways on the
+//! conservative-parallel engine, and fails (exit 1) unless every headline
+//! metric — post-kill round-trip digest, sample count, and fabric drops —
+//! matches exactly. This is the CI guard that fault injection plus mid-run
+//! world events replay identically under sharding.
 //!
 //! Set `SP_BENCH_TOPO_JSON=<path>` to write the congestion metrics as JSON
 //! lines, and `SP_BENCH_TOPO_BASELINE=<path>` to compare against a saved
@@ -237,48 +237,48 @@ fn main() {
     sp_bench::print_engine_summary(&tally);
 }
 
-/// The dead-cable experiment, serial vs `shards`-way sharded, round-robin
-/// routing (the policy the sharded engine supports). Every headline
-/// metric must match exactly: the cable kill is a broadcast world event
-/// and the per-link drop injectors classify at the cables' owning shard,
-/// so divergence here means the conservative-parallel engine broke
-/// serial-equivalence under faults.
+/// The dead-cable experiment, serial vs `shards`-way sharded, under both
+/// routing policies. Every headline metric must match exactly: the cable
+/// kill is a broadcast world event, the per-link drop injectors classify
+/// at the cables' owning shard and the adaptive route choice is made
+/// there too, so divergence here means the conservative-parallel engine
+/// broke serial-equivalence under faults.
 fn parallel_fault_check(shards: usize, tally: &mut sp_bench::Tally) -> bool {
+    use sp_adapter::RoutePolicy;
     let iters = if quick() { 12 } else { 32 };
-    let rr = sp_adapter::RoutePolicy::RoundRobin;
-    let serial = topo_exp::fault_run(rr, 8, iters, tally);
-    let sharded = topo_exp::fault_run_sharded(rr, 8, iters, shards, tally);
     println!(
         "==== parallel fault check: cable lane 0 killed at {} us, {shards} shards ====\n",
         topo_exp::FAULT_KILL_AT_NS as f64 / 1_000.0
     );
     println!(
-        "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>9}",
-        "engine", "samples", "p50 (us)", "p99 (us)", "p999 (us)", "max (us)", "dropped"
+        "{:<12} {:<8} {:>8} {:>10} {:>10} {:>10} {:>10} {:>9}",
+        "policy", "engine", "samples", "p50 (us)", "p99 (us)", "p999 (us)", "max (us)", "dropped"
     );
-    println!("{}", "-".repeat(76));
-    for (name, p) in [("serial", &serial), ("sharded", &sharded)] {
-        println!(
-            "{:<12} {:>8} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>9}",
-            name,
-            p.samples_after,
-            p.rtt_p50_ns as f64 / 1_000.0,
-            p.rtt_p99_ns as f64 / 1_000.0,
-            p.rtt_p999_ns as f64 / 1_000.0,
-            p.rtt_max_ns as f64 / 1_000.0,
-            p.dropped,
-        );
+    println!("{}", "-".repeat(85));
+    let mut same = true;
+    for policy in [RoutePolicy::RoundRobin, RoutePolicy::Adaptive] {
+        let serial = topo_exp::fault_run(policy, 8, iters, tally);
+        let sharded = topo_exp::fault_run_sharded(policy, 8, iters, shards, tally);
+        for (name, p) in [("serial", &serial), ("sharded", &sharded)] {
+            println!(
+                "{:<12} {:<8} {:>8} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>9}",
+                p.policy,
+                name,
+                p.samples_after,
+                p.rtt_p50_ns as f64 / 1_000.0,
+                p.rtt_p99_ns as f64 / 1_000.0,
+                p.rtt_p999_ns as f64 / 1_000.0,
+                p.rtt_max_ns as f64 / 1_000.0,
+                p.dropped,
+            );
+        }
+        same &= serial.samples_after == sharded.samples_after
+            && serial.rtt_p50_ns == sharded.rtt_p50_ns
+            && serial.rtt_p99_ns == sharded.rtt_p99_ns
+            && serial.rtt_p999_ns == sharded.rtt_p999_ns
+            && serial.rtt_max_ns == sharded.rtt_max_ns
+            && serial.dropped == sharded.dropped;
     }
-    let same = [
-        serial.samples_after as u64 == sharded.samples_after as u64,
-        serial.rtt_p50_ns == sharded.rtt_p50_ns,
-        serial.rtt_p99_ns == sharded.rtt_p99_ns,
-        serial.rtt_p999_ns == sharded.rtt_p999_ns,
-        serial.rtt_max_ns == sharded.rtt_max_ns,
-        serial.dropped == sharded.dropped,
-    ]
-    .iter()
-    .all(|b| *b);
     if same {
         println!("\nserial and {shards}-shard runs agree on every metric");
     } else {

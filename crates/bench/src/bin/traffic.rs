@@ -7,11 +7,11 @@
 //! cargo run --release --bin traffic -- --parallel 4
 //! ```
 //!
-//! `--parallel N` shards the conservative-parallel engine N ways for the
-//! round-robin sweep (default 4). Adaptive routing is the engine's one
-//! serial-only feature, so its sweep always runs on one shard — the
-//! workload, schedule, and metrics are identical either way (asserted by
-//! the determinism tests in `tests/tests/traffic.rs`).
+//! `--parallel N` shards the conservative-parallel engine N ways for every
+//! run, under both routing policies (default 4). The workload, schedule,
+//! and metrics do not depend on the shard count (the determinism tests in
+//! `tests/tests/traffic.rs` assert it on smaller fabrics; this sweep was
+//! checked at 1 and 4 shards).
 //!
 //! Set `SP_BENCH_QUICK=1` for the CI-sized sweep, `SP_BENCH_TRAFFIC_JSON=
 //! <path>` to write the headline metrics as JSON lines, and

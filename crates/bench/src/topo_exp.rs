@@ -326,13 +326,6 @@ fn fault_machine(
     iters: u32,
     shards: usize,
 ) -> (AmMachine, sp_trace::Tracer, SpConfig) {
-    // Adaptive routing is the sharded engine's one remaining serial-only
-    // feature; fall back rather than panic in the split.
-    let shards = if policy == RoutePolicy::Adaptive {
-        1
-    } else {
-        shards
-    };
     let cfg = SpConfig::multi_frame(2, k).routed(policy).parallel(shards);
     let am_cfg = AmConfig {
         keepalive_polls: 64,
@@ -402,9 +395,10 @@ pub fn fault_run(policy: RoutePolicy, k: usize, iters: u32, t: &mut Tally) -> Fa
 /// [`fault_run`] on the conservative-parallel engine: the same dead-cable
 /// experiment sharded `shards` ways. The mid-run cable kill is broadcast
 /// to every shard and the per-link injectors classify at the cables'
-/// owning shard, so the measured round trips, drops, and digests are
-/// identical to the serial run for any shard count (adaptive-routing runs
-/// fall back to serial).
+/// owning shard, so the measured round trips, drops, and digests match
+/// the one-shard run under either routing policy. They do here, though a
+/// kill at another instant can meet packets sent up to one lookahead
+/// before it (ROADMAP item 9); `topo --parallel N` checks this one.
 pub fn fault_run_sharded(
     policy: RoutePolicy,
     k: usize,

@@ -14,9 +14,10 @@
 //! is compared byte-for-byte and mismatches exit 3.
 //!
 //! `--parallel N` runs each schedule sharded across N conservative-parallel
-//! engine shards. Outcomes and reports are byte-identical to serial runs,
-//! so reproducers recorded serially replay cleanly under `--parallel` and
-//! vice versa (adaptive-routing schedules fall back to serial).
+//! engine shards. Outcomes and reports match one-shard runs (up to the
+//! mid-run world-event gap noted on `sp_chaos::run_sharded`), so
+//! reproducers recorded on one shard replay under `--parallel` and vice
+//! versa.
 
 use sp_chaos::Workload;
 use std::path::PathBuf;

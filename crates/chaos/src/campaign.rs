@@ -26,7 +26,7 @@ pub fn judge(s: &Schedule) -> Judged {
 
 /// Run one schedule across `shards` conservative-parallel shards and
 /// judge it. Outcomes and reports are byte-identical to [`judge`] for
-/// any shard count (adaptive-routing schedules fall back to serial).
+/// any shard count.
 pub fn judge_sharded(s: &Schedule, shards: usize) -> Judged {
     let outcome = run_sharded(s, shards);
     let violations = check(&outcome);
@@ -78,9 +78,9 @@ pub fn run_campaign(
 }
 
 /// [`run_campaign`], with each schedule executed across `shards`
-/// conservative-parallel shards. Judgements are identical to a serial
-/// campaign for any shard count; shrinking of failures always happens
-/// serially (the reproducer replays identically either way).
+/// conservative-parallel shards. Judgements match a one-shard campaign
+/// for any shard count, up to the mid-run world-event gap of
+/// [`run_sharded`]; shrinking of failures always happens on one shard.
 pub fn run_campaign_sharded(
     per_workload: usize,
     base_seed: u64,

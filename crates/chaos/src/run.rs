@@ -8,9 +8,7 @@ use sp_mpi::{Mpi, MpiAm, MpiAmConfig, MpiSt};
 use sp_sim::{Dur, Time};
 use sp_splitc::backend::am::{AmGas, SplitcSt};
 use sp_splitc::Gas;
-use sp_switch::{
-    FaultInjector, FaultKind, FaultWindow, PartitionWindow, RoutePolicy, SwitchStats, Topology,
-};
+use sp_switch::{FaultInjector, FaultKind, FaultWindow, PartitionWindow, SwitchStats, Topology};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -102,12 +100,12 @@ pub fn run(schedule: &Schedule) -> RunOutcome {
 }
 
 /// Execute `schedule` sharded across `shards` conservative-parallel
-/// engine shards. Outcomes (and the formatted invariant report) are
-/// byte-identical to the serial [`run`] for any shard count — fault
-/// classification happens at each packet's owning shard, so chaos
-/// schedules replay identically. The one exception is adaptive routing,
-/// which the sharded engine does not support: such schedules silently
-/// fall back to a serial run.
+/// engine shards, under either routing policy. Fault classification
+/// happens at each packet's owning shard, so outcomes (and the formatted
+/// invariant report) match the one-shard [`run`] for any shard count,
+/// with one known gap: a scheduled event that changes the fabric mid-run
+/// (a cable kill, say) reaches packets sent up to one lookahead before it
+/// (ROADMAP item 9). The pinned schedules replay byte-identically.
 pub fn run_sharded(schedule: &Schedule, shards: usize) -> RunOutcome {
     run_inner(schedule, false, shards)
 }
@@ -148,13 +146,6 @@ fn run_inner(s: &Schedule, trace: bool, shards: usize) -> RunOutcome {
         )
     } else {
         (nodes, sp_adapter::SpConfig::thin(nodes))
-    };
-    // Adaptive routing is the one remaining serial-only feature of the
-    // sharded engine; schedules exercising it fall back to serial.
-    let shards = if s.route_policy == RoutePolicy::Adaptive {
-        1
-    } else {
-        shards
     };
     let sp = sp.parallel(shards);
     let cost = sp.cost.clone();

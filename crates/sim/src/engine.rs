@@ -71,15 +71,48 @@ impl<W: Send + 'static> EvKind<W> {
     }
 }
 
+/// Where an event stands among the events due at the same instant: after
+/// every event scheduled earlier (`gen`), and among those scheduled at the
+/// same instant, ranked events in `rank` order before the unranked ones.
+/// The engine's queue orders events by `(time, tie, insertion)`, and a
+/// sharded run's barrier orders cross-shard messages by `(ts, tie)`
+/// ([`ShardMsg::tie`](crate::ShardMsg::tie)), so a world that ranks the
+/// events whose same-instant order it can observe across shards (the SP
+/// world ranks each firmware send step by its node) gets the same order at
+/// any shard count. Unranked events keep plain scheduling order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Tie {
+    /// The virtual instant the event was scheduled at.
+    pub gen: Time,
+    /// Rank among the events scheduled at `gen` for the same instant;
+    /// [`Tie::UNRANKED`] for plain events.
+    pub rank: u32,
+}
+
+impl Tie {
+    /// The rank of an event scheduled without one: after every ranked
+    /// event of the same `gen`.
+    pub const UNRANKED: u32 = u32::MAX;
+
+    /// An unranked event scheduled at `gen`.
+    pub(crate) fn unranked(gen: Time) -> Tie {
+        Tie {
+            gen,
+            rank: Tie::UNRANKED,
+        }
+    }
+}
+
 pub(crate) struct Ev<W: Send + 'static> {
     pub(crate) time: Time,
+    pub(crate) tie: Tie,
     pub(crate) seq: u64,
     pub(crate) kind: EvKind<W>,
 }
 
 impl<W: Send + 'static> PartialEq for Ev<W> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.time == other.time && self.tie == other.tie && self.seq == other.seq
     }
 }
 impl<W: Send + 'static> Eq for Ev<W> {}
@@ -90,11 +123,12 @@ impl<W: Send + 'static> PartialOrd for Ev<W> {
 }
 impl<W: Send + 'static> Ord for Ev<W> {
     /// Reversed so `BinaryHeap` (a max-heap) pops the *earliest* event;
-    /// ties break by insertion sequence for determinism.
+    /// same-instant events break by [`Tie`], then insertion sequence.
     fn cmp(&self, other: &Self) -> Ordering {
         other
             .time
             .cmp(&self.time)
+            .then_with(|| other.tie.cmp(&self.tie))
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -106,10 +140,15 @@ pub(crate) struct Sched<W: Send + 'static> {
 }
 
 impl<W: Send + 'static> Sched<W> {
-    pub(crate) fn push(&mut self, time: Time, kind: EvKind<W>) {
+    pub(crate) fn push(&mut self, time: Time, tie: Tie, kind: EvKind<W>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Ev { time, seq, kind });
+        self.queue.push(Ev {
+            time,
+            tie,
+            seq,
+            kind,
+        });
     }
 
     pub(crate) fn new() -> Self {
@@ -275,6 +314,7 @@ pub(crate) fn unpark_inner<W: Send + 'static>(
             meta.unpark_queued = true;
             sched.push(
                 now,
+                Tie::unranked(now),
                 EvKind::Wake {
                     node: target,
                     epoch: meta.epoch,
@@ -378,8 +418,8 @@ impl<W: Send + 'static> Shared<W> {
         (r, until, fast)
     }
 
-    pub(crate) fn schedule(&self, at: Time, kind: EvKind<W>) {
-        self.inner.lock().sched.push(at, kind);
+    pub(crate) fn schedule(&self, at: Time, tie: Tie, kind: EvKind<W>) {
+        self.inner.lock().sched.push(at, tie, kind);
     }
 
     pub(crate) fn take_signal(&self, id: NodeId) -> bool {
@@ -404,8 +444,10 @@ impl<W: Send + 'static> Shared<W> {
                 0,
             );
         }
+        let gen = inner.now;
         inner.sched.push(
             until,
+            Tie::unranked(gen),
             EvKind::Wake {
                 node: id,
                 epoch,
@@ -429,8 +471,10 @@ impl<W: Send + 'static> Shared<W> {
             None => inner.nodes[id.0].state = NState::Parked,
             Some(until) => {
                 inner.nodes[id.0].state = NState::SleepInt;
+                let gen = inner.now;
                 inner.sched.push(
                     until,
+                    Tie::unranked(gen),
                     EvKind::Wake {
                         node: id,
                         epoch,
@@ -464,6 +508,7 @@ impl<W: Send + 'static> Shared<W> {
 /// time; they mutate the world, schedule further events, and wake nodes.
 pub struct EventCtx<'a, W: Send + 'static> {
     now: Time,
+    tie: Tie,
     world: &'a mut W,
     sched: &'a mut Sched<W>,
     nodes: &'a mut Vec<NodeMeta>,
@@ -476,6 +521,14 @@ impl<'a, W: Send + 'static> EventCtx<'a, W> {
     #[inline]
     pub fn now(&self) -> Time {
         self.now
+    }
+
+    /// This event's place among the events due at the same instant (see
+    /// [`Tie`]). A world stamps it into a [`ShardMsg`](crate::ShardMsg)
+    /// that stands in for work the one-shard run does inside this event.
+    #[inline]
+    pub fn tie(&self) -> Tie {
+        self.tie
     }
 
     /// The installed trace recorder, if any (see [`Sim::set_tracer`]).
@@ -503,9 +556,18 @@ impl<'a, W: Send + 'static> EventCtx<'a, W> {
 
     /// Push a closure event, wrapping it for broadcast inheritance when the
     /// current event is itself a broadcast replica.
-    fn push_call(&mut self, at: Time, f: impl FnOnce(&mut EventCtx<'_, W>) + Send + 'static) {
+    fn push_call(
+        &mut self,
+        at: Time,
+        rank: u32,
+        f: impl FnOnce(&mut EventCtx<'_, W>) + Send + 'static,
+    ) {
+        let tie = Tie {
+            gen: self.now,
+            rank,
+        };
         match self.in_broadcast() {
-            None => self.sched.push(at, EvKind::call(f)),
+            None => self.sched.push(at, tie, EvKind::call(f)),
             Some(primary) => {
                 let g = move |e: &mut EventCtx<'_, W>| broadcast_exec(e, f);
                 let kind = if primary {
@@ -513,20 +575,20 @@ impl<'a, W: Send + 'static> EventCtx<'a, W> {
                 } else {
                     EvKind::sync_call(g)
                 };
-                self.sched.push(at, kind);
+                self.sched.push(at, tie, kind);
             }
         }
     }
 
     /// Schedule a follow-up event `after` from now.
     pub fn schedule(&mut self, after: Dur, f: impl FnOnce(&mut EventCtx<'_, W>) + Send + 'static) {
-        self.push_call(self.now + after, f);
+        self.push_call(self.now + after, Tie::UNRANKED, f);
     }
 
     /// Schedule a follow-up event at absolute time `at` (clamped to now).
     pub fn schedule_at(&mut self, at: Time, f: impl FnOnce(&mut EventCtx<'_, W>) + Send + 'static) {
         let at = at.max(self.now);
-        self.push_call(at, f);
+        self.push_call(at, Tie::UNRANKED, f);
     }
 
     /// Schedule an allocation-free event `after` from now: a plain `fn`
@@ -536,25 +598,30 @@ impl<'a, W: Send + 'static> EventCtx<'a, W> {
     /// from the hot path; anything larger than two words parks in world
     /// state (e.g. a packet slab) and travels as a slot index.
     pub fn schedule_hot(&mut self, after: Dur, f: HotFn<W>, a: u64, b: u64) {
-        let at = self.now + after;
-        if self.in_broadcast().is_some() {
-            // Broadcast follow-ups need the closure wrapper for mode
-            // inheritance; broadcast events are rare, so the allocation is
-            // irrelevant here.
-            self.push_call(at, move |e| f(e, a, b));
-        } else {
-            self.sched.push(at, EvKind::Hot { f, a, b });
-        }
+        self.schedule_hot_ranked_at(self.now + after, Tie::UNRANKED, f, a, b);
     }
 
     /// Schedule an allocation-free event at absolute time `at` (clamped to
     /// now). See [`EventCtx::schedule_hot`].
     pub fn schedule_hot_at(&mut self, at: Time, f: HotFn<W>, a: u64, b: u64) {
+        self.schedule_hot_ranked_at(at, Tie::UNRANKED, f, a, b);
+    }
+
+    /// [`EventCtx::schedule_hot_at`] with a [`Tie::rank`]: among the events
+    /// scheduled now for the same instant, this one runs in `rank` order.
+    pub fn schedule_hot_ranked_at(&mut self, at: Time, rank: u32, f: HotFn<W>, a: u64, b: u64) {
         let at = at.max(self.now);
         if self.in_broadcast().is_some() {
-            self.push_call(at, move |e| f(e, a, b));
+            // Broadcast follow-ups need the closure wrapper for mode
+            // inheritance; broadcast events are rare, so the allocation is
+            // irrelevant here.
+            self.push_call(at, rank, move |e| f(e, a, b));
         } else {
-            self.sched.push(at, EvKind::Hot { f, a, b });
+            let tie = Tie {
+                gen: self.now,
+                rank,
+            };
+            self.sched.push(at, tie, EvKind::Hot { f, a, b });
         }
     }
 
@@ -566,7 +633,8 @@ impl<'a, W: Send + 'static> EventCtx<'a, W> {
     /// shift stays invisible in the serial-comparable event count.
     pub fn schedule_sync_hot_at(&mut self, at: Time, f: HotFn<W>, a: u64, b: u64) {
         let at = at.max(self.now);
-        self.sched.push(at, EvKind::SyncHot { f, a, b });
+        self.sched
+            .push(at, Tie::unranked(self.now), EvKind::SyncHot { f, a, b });
     }
 
     /// Unpark a node program (see [`NodeCtx::unpark`](crate::NodeCtx::unpark)).
@@ -594,8 +662,11 @@ pub(crate) fn replay_unpark<W: Send + 'static>(e: &mut EventCtx<'_, W>, target: 
     let wake_in_flight =
         matches!(meta.state, NState::Parked | NState::SleepInt) && meta.unpark_queued;
     if wake_in_flight {
-        e.sched
-            .push(e.now, EvKind::sync_call(move |e| replay_unpark(e, target)));
+        e.sched.push(
+            e.now,
+            Tie::unranked(e.now),
+            EvKind::sync_call(move |e| replay_unpark(e, target)),
+        );
     } else {
         e.unpark(target);
     }
@@ -637,7 +708,12 @@ pub(crate) fn broadcast_kind<W: Send + 'static>(f: InitialFn<W>, primary: bool) 
 
 /// Execute a non-`Wake` event against `inner` at virtual time `at` (the
 /// drive loop handles wakes itself).
-pub(crate) fn exec_event<W: Send + 'static>(inner: &mut Inner<W>, at: Time, kind: EvKind<W>) {
+pub(crate) fn exec_event<W: Send + 'static>(
+    inner: &mut Inner<W>,
+    at: Time,
+    tie: Tie,
+    kind: EvKind<W>,
+) {
     match kind {
         EvKind::Call(f) | EvKind::SyncCall(f) => {
             if let Some(t) = &inner.tracer {
@@ -645,6 +721,7 @@ pub(crate) fn exec_event<W: Send + 'static>(inner: &mut Inner<W>, at: Time, kind
             }
             let mut ectx = EventCtx {
                 now: at,
+                tie,
                 world: &mut inner.world,
                 sched: &mut inner.sched,
                 nodes: &mut inner.nodes,
@@ -659,6 +736,7 @@ pub(crate) fn exec_event<W: Send + 'static>(inner: &mut Inner<W>, at: Time, kind
             }
             let mut ectx = EventCtx {
                 now: at,
+                tie,
                 world: &mut inner.world,
                 sched: &mut inner.sched,
                 nodes: &mut inner.nodes,

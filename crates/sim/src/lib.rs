@@ -51,7 +51,7 @@ mod node;
 mod parallel;
 mod time;
 
-pub use engine::{EventCtx, HotFn, NodeId, ShardProfile, ShardReport, Sim, SimReport};
+pub use engine::{EventCtx, HotFn, NodeId, ShardProfile, ShardReport, Sim, SimReport, Tie};
 pub use error::SimError;
 pub use node::{NodeCtx, WakeReason};
 pub use parallel::{ShardMsg, Shardable};
@@ -61,6 +61,6 @@ pub use time::{Dur, Time};
 pub mod prelude {
     pub use crate::{
         Dur, EventCtx, NodeCtx, NodeId, ShardMsg, ShardReport, Shardable, Sim, SimError, SimReport,
-        Time, WakeReason,
+        Tie, Time, WakeReason,
     };
 }

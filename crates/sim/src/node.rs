@@ -9,7 +9,7 @@
 //! blocks on its own. A baton is a tiny state machine guarded by a
 //! `parking_lot` mutex/condvar pair per node.
 
-use crate::engine::{EvKind, NodeId, Shared};
+use crate::engine::{EvKind, NodeId, Shared, Tie};
 use crate::parallel::Core;
 use crate::time::{Dur, Time};
 use parking_lot::{Condvar, Mutex};
@@ -292,13 +292,31 @@ impl<W: Send + 'static> NodeCtx<W> {
         after: Dur,
         f: impl FnOnce(&mut crate::engine::EventCtx<'_, W>) + Send + 'static,
     ) {
-        self.shared.schedule(self.now + after, EvKind::call(f));
+        self.shared
+            .schedule(self.now + after, Tie::unranked(self.now), EvKind::call(f));
     }
 
     /// Schedule an allocation-free event `after` from now (see
     /// [`EventCtx::schedule_hot`](crate::engine::EventCtx::schedule_hot)).
     pub fn schedule_hot(&self, after: Dur, f: crate::engine::HotFn<W>, a: u64, b: u64) {
+        self.schedule_hot_ranked(after, Tie::UNRANKED, f, a, b);
+    }
+
+    /// [`NodeCtx::schedule_hot`] with a [`Tie::rank`] (see
+    /// [`EventCtx::schedule_hot_ranked_at`](crate::engine::EventCtx::schedule_hot_ranked_at)).
+    pub fn schedule_hot_ranked(
+        &self,
+        after: Dur,
+        rank: u32,
+        f: crate::engine::HotFn<W>,
+        a: u64,
+        b: u64,
+    ) {
+        let tie = Tie {
+            gen: self.now,
+            rank,
+        };
         self.shared
-            .schedule(self.now + after, EvKind::Hot { f, a, b });
+            .schedule(self.now + after, tie, EvKind::Hot { f, a, b });
     }
 }

@@ -34,9 +34,9 @@
 //! Cross-shard interactions are timestamped [`ShardMsg`]s: generated inside
 //! a window, collected at the next barrier ([`Shardable::take_messages`]),
 //! and applied on the destination shard as `sync` events
-//! ([`Shardable::apply_msg`]) ordered by `(timestamp, source sequence,
-//! source shard)` — the world-provided sequence stamp reproduces the
-//! one-shard run's same-nanosecond event order across shards.
+//! ([`Shardable::apply_msg`]) ordered by `(timestamp, tie, source shard)`
+//! — the world-provided [`Tie`] stamp reproduces the one-shard run's
+//! same-instant event order across shards.
 //! Sync events are charged to a separate `sync_events` counter so a
 //! sharded run reports the *same* `events` as its one-shard twin and the
 //! synchronization overhead stays observable ([`SimReport::sync_events`],
@@ -75,18 +75,20 @@
 //!
 //! ## Determinism
 //!
-//! Within a shard, events run in `(time, seq)` order. Across shards, every
-//! hand-off is timestamped and applied in `(timestamp, source sequence,
+//! Within a shard, events run in `(time, tie, seq)` order ([`Tie`]: the
+//! instant an event was scheduled, then a world-chosen rank). Across
+//! shards, every hand-off is timestamped and applied in `(timestamp, tie,
 //! source shard)` order at a barrier whose placement depends only on
 //! virtual time — never on OS scheduling. Runs are therefore reproducible
-//! for a fixed `(config, seed, num_shards)`, and for workloads whose
-//! cross-shard interactions are the world's own hand-offs (packets), end
-//! time, event count, and world state match the one-shard run exactly —
-//! see `tests/parallel.rs` and the proptest equivalence suite.
+//! for a fixed `(config, seed, num_shards)`. For workloads whose
+//! cross-shard interactions are the world's own hand-offs (packets), and
+//! whose same-instant hand-offs from different shards carry different
+//! ties, end time, event count, and world state match the one-shard run
+//! exactly — see `tests/parallel.rs` and the proptest equivalence suite.
 
 use crate::engine::{
     broadcast_kind, exec_event, EvKind, EventCtx, EventFn, Inner, NState, NodeId, NodeMeta, Sched,
-    ShardProfile, ShardReport, ShardSlot, Shared, Sim, SimReport,
+    ShardProfile, ShardReport, ShardSlot, Shared, Sim, SimReport, Tie,
 };
 use crate::error::SimError;
 use crate::node::{Baton, Drive, NodeCtx, ShutdownToken, WakeReason};
@@ -112,14 +114,16 @@ pub struct ShardMsg<M> {
     /// `lookahead` past the generating event) — this is what makes the
     /// conservative window sound.
     pub ts: Time,
-    /// Source-event ordering stamp: messages landing on one destination
-    /// shard at the same `ts` are applied in ascending `seq` (then source
-    /// shard) order. Worlds should stamp this with a quantity that orders
-    /// generating events the way the serial run's event sequence does — the
-    /// SP world uses the virtual time the generating event was scheduled —
-    /// so same-nanosecond cross-shard ties resolve identically to serial
-    /// instead of by shard deposit order.
-    pub seq: u64,
+    /// Same-instant order: messages landing on one destination shard at
+    /// the same `ts` are applied in ascending `tie` (then source shard)
+    /// order, the order the engine's queue gives events due at the same
+    /// instant. A world stamps it with the [`Tie`] of the event the
+    /// one-shard run would order in its place: the event that generates
+    /// the message ([`EventCtx::tie`]) when that run does the message's
+    /// work inline, or the one it would schedule for `ts`. Ties of events
+    /// on different shards must then differ, so the source shard never
+    /// decides.
+    pub tie: Tie,
     /// Destination shard index (`owner[dst_node]`).
     pub dst_shard: usize,
     /// World-defined payload.
@@ -195,9 +199,9 @@ struct Arrive {
     heap: usize,
 }
 
-/// Inbound cross-shard message, ready to queue: `(src_shard, ts, seq,
+/// Inbound cross-shard message, ready to queue: `(src_shard, ts, tie,
 /// apply)`.
-type Inbound<W> = (usize, Time, u64, EventFn<W>);
+type Inbound<W> = (usize, Time, Tie, EventFn<W>);
 
 /// Drains a world slice's outbound messages at a window barrier, each
 /// turned into the sync event that applies it on the destination shard.
@@ -211,7 +215,7 @@ fn drain_outbox<W: Shardable>(w: &mut W) -> Vec<ShardMsg<EventFn<W>>> {
             let apply: EventFn<W> = Box::new(move |e| W::apply_msg(e, msg));
             ShardMsg {
                 ts: m.ts,
-                seq: m.seq,
+                tie: m.tie,
                 dst_shard: m.dst_shard,
                 msg: apply,
             }
@@ -419,7 +423,7 @@ impl<W: Send + 'static> Core<W> {
         }
         for m in msgs {
             debug_assert!(m.dst_shard < self.shards.len());
-            st.inbox[m.dst_shard].push((sid, m.ts, m.seq, m.msg));
+            st.inbox[m.dst_shard].push((sid, m.ts, m.tie, m.msg));
         }
         for (node, t) in unparks {
             st.unparks[self.owner[node.0]].push((node, t, sid));
@@ -461,16 +465,20 @@ impl<W: Send + 'static> Core<W> {
                 continue;
             }
             // Deterministic application order, independent of which shard
-            // arrived when: by timestamp, then the world's source-event
-            // sequence stamp (reproducing the serial run's same-nanosecond
-            // event order), then source shard as a final total-order
-            // tie-break (stable sort preserves each source's own
-            // generation order).
-            msgs.sort_by_key(|(src, ts, seq, _)| (*ts, *seq, *src));
+            // arrived when: by timestamp, then the world's tie stamp (the
+            // engine queue's same-instant order), then source shard as a
+            // final total-order tie-break (stable sort preserves each
+            // source's own generation order).
+            msgs.sort_by_key(|(src, ts, tie, _)| (*ts, *tie, *src));
             unparks.sort_by_key(|(node, t, src)| (*t, *src, node.0));
             let inner = &mut *self.shards[dst].inner.lock();
-            for (_src, ts, _seq, apply) in msgs {
-                inner.sched.push(ts.max(inner.now), EvKind::SyncCall(apply));
+            // Applied messages queue in sorted order: one shared tie, so
+            // the insertion sequence decides among them.
+            let gen = Tie::unranked(inner.now);
+            for (_src, ts, _tie, apply) in msgs {
+                inner
+                    .sched
+                    .push(ts.max(inner.now), gen, EvKind::SyncCall(apply));
             }
             for (node, t, _src) in unparks {
                 st.cross_unparks += 1;
@@ -484,6 +492,7 @@ impl<W: Send + 'static> Core<W> {
                 let at = t.max(inner.now);
                 inner.sched.push(
                     at,
+                    gen,
                     EvKind::sync_call(move |e| crate::engine::replay_unpark(e, node)),
                 );
             }
@@ -646,7 +655,7 @@ impl<W: Send + 'static> Core<W> {
                     self.batons[node.0].grant(ev.time, reason);
                     return Drive::Handed;
                 }
-                kind => exec_event(&mut inner, ev.time, kind),
+                kind => exec_event(&mut inner, ev.time, ev.tie, kind),
             }
         }
     }
@@ -709,7 +718,11 @@ impl<W: Send + 'static> Sim<W> {
             // world slice observes the mutation at exactly the scheduled
             // time; only shard 0's replica is a counted event.
             for (at, f) in &self.initial {
-                sched.push(*at, broadcast_kind(f.clone(), sid == 0));
+                sched.push(
+                    *at,
+                    Tie::unranked(Time::ZERO),
+                    broadcast_kind(f.clone(), sid == 0),
+                );
             }
             let mut nodes = Vec::with_capacity(num_nodes);
             for (i, (name, _)) in programs.iter().enumerate() {
@@ -719,6 +732,7 @@ impl<W: Send + 'static> Sim<W> {
                 if owner[i] == sid {
                     sched.push(
                         Time::ZERO,
+                        Tie::unranked(Time::ZERO),
                         EvKind::Wake {
                             node: NodeId(i),
                             epoch: 0,
@@ -1136,10 +1150,10 @@ mod tests {
                 }
                 Some((_, owner)) => {
                     let dst_shard = owner[dst];
-                    let seq = e.now().as_ns();
+                    let tie = Tie::unranked(e.now());
                     e.world().outbox.push(ShardMsg {
                         ts,
-                        seq,
+                        tie,
                         dst_shard,
                         msg: dst,
                     });
@@ -1231,10 +1245,10 @@ mod tests {
 
     impl OrderLog {
         /// Send `marker` to node 0, landing at absolute time `ts_ns`.
-        /// `seq` is the posting time, exactly as real worlds stamp it.
+        /// `tie` is the landing event's: scheduled at the posting time.
         fn post(e: &mut EventCtx<'_, OrderLog>, marker: u64, ts_ns: u64) {
             let ts = Time(ts_ns);
-            let seq = e.now().as_ns();
+            let tie = Tie::unranked(e.now());
             match e.world().shard.clone() {
                 None => e.schedule_hot_at(ts, OrderLog::land, marker, 0),
                 Some((sid, owner)) if owner[0] == sid => {
@@ -1244,7 +1258,7 @@ mod tests {
                     let dst_shard = owner[0];
                     e.world().outbox.push(ShardMsg {
                         ts,
-                        seq,
+                        tie,
                         dst_shard,
                         msg: marker,
                     });
@@ -1305,8 +1319,8 @@ mod tests {
         );
         // Node 0 (shard 0) receives; it just outlives the landings.
         sim.spawn("rx", |ctx| ctx.advance(Dur::ns(2_000)));
-        // Node 1 (shard 1) posts *later* (seq 200) — but from the lower
-        // shard. Node 2 (shard 2) posts *earlier* (seq 100) from the
+        // Node 1 (shard 1) posts *later* (at 200 ns) — but from the lower
+        // shard. Node 2 (shard 2) posts *earlier* (at 100 ns) from the
         // higher shard. Both land at t=1000 on node 0. Serial executes
         // the landings in posting order: marker 2 then marker 1. A
         // barrier that tie-breaks equal timestamps by source shard
@@ -1330,10 +1344,10 @@ mod tests {
     }
 
     /// Regression: two cross-shard messages with the *same* destination
-    /// timestamp must apply in posting order (the carried `seq`), not in
-    /// source-shard order. Before `ShardMsg` carried `seq`, the barrier
-    /// sorted `(ts, src_shard)` and this test's parallel log came out
-    /// `[1, 2]` against the serial `[2, 1]`.
+    /// timestamp must apply in posting order (the carried `tie`), not in
+    /// source-shard order. Before `ShardMsg` carried a posting stamp, the
+    /// barrier sorted `(ts, src_shard)` and this test's parallel log came
+    /// out `[1, 2]` against the serial `[2, 1]`.
     #[test]
     fn equal_timestamp_messages_apply_in_posting_order() {
         let serial = tie_break_run(1);

@@ -14,12 +14,16 @@ pub enum RoutePolicy {
     /// occupancy. Every golden pin is measured under this policy.
     #[default]
     RoundRobin,
-    /// Occupancy-aware: pick the candidate route whose first contended link
-    /// (the first link along the path still busy at the decision instant)
-    /// frees earliest. Ties break in round-robin order starting from the
-    /// pair's counter, so zero contention degrades to exactly the
-    /// round-robin sequence — the paper-faithful behaviour is the
-    /// degenerate case.
+    /// Occupancy-aware: pick the candidate route whose first contended
+    /// intermediate link (the first cable, up- or down-link along the path
+    /// still busy at the decision instant) frees earliest. Ties break in
+    /// round-robin order starting from the pair's counter, so zero
+    /// contention degrades to exactly the round-robin sequence — the
+    /// paper-faithful behaviour is the degenerate case. A packet whose
+    /// injection link is still busy meets its first contention there on
+    /// every route, so every live route ties; the ejection link, shared by
+    /// every route too, is not read. Same-frame pairs have no intermediate
+    /// link, so they always keep the round-robin sequence.
     Adaptive,
 }
 
@@ -178,7 +182,8 @@ pub struct StagedTransit {
     pub wire_bytes: usize,
     /// Instant the packet entered the fabric; fault windows key off this.
     pub ready: Time,
-    /// Route chosen at the origin (consumed the pair's round-robin counter).
+    /// Route chosen by the fabric stage, which consumes the pair's
+    /// round-robin counter; 0 until then.
     pub route: usize,
     /// Injection-link claim start — anchors delay/drop trace instants.
     pub origin_start: Time,
@@ -322,14 +327,16 @@ impl Switch {
     }
 
     /// The adaptive policy's metric for one candidate route: the `free`
-    /// time of the first link along `(src, dst, route)`'s path that is
-    /// still busy at `ready`, or [`Time::ZERO`] when every link is idle.
+    /// time of the first intermediate link (cable, up- or down-link) along
+    /// `(src, dst, route)`'s path that is still busy at `ready`, or
+    /// [`Time::ZERO`] when every such link is idle. The injection and
+    /// ejection links are left out: every route of the pair shares them.
     /// Lower is better; equal keys are indistinguishable to the policy.
     /// Public so the routing-invariant property tests can check the
     /// policy's choice against every candidate at decision time.
     pub fn contention_key(&self, src: usize, dst: usize, route: usize, ready: Time) -> Time {
         let path = self.topo.path(src, dst, route);
-        for &link in path.links() {
+        for &link in path.intermediate() {
             let free = self.links[link as usize].free;
             if free > ready {
                 return free;
@@ -339,22 +346,28 @@ impl Switch {
     }
 
     /// Route-selection key for the adaptive policy: the contention key,
-    /// except that a path through a severed link (an injector that drops
-    /// every packet, [`FaultInjector::lane_dead`]) is unusable and sorts
-    /// behind every live route — the SP fault daemon's route-table mask
-    /// around a failed cable. With every candidate dead the keys tie and
-    /// selection degenerates to the round-robin counter.
-    fn route_key(&self, src: usize, dst: usize, route: usize, ready: Time) -> Time {
+    /// except that a path through a severed intermediate link (an injector
+    /// that drops every packet, [`FaultInjector::lane_dead`]) is unusable
+    /// and sorts behind every live route — the SP fault daemon's
+    /// route-table mask around a failed cable. With every candidate dead
+    /// the keys tie and selection degenerates to the round-robin counter.
+    /// A packet whose injection link was still busy at `ready`
+    /// (`inj_busy`) meets contention on that link first, whatever the
+    /// route, so every live route ties too.
+    fn route_key(&self, src: usize, dst: usize, route: usize, ready: Time, inj_busy: bool) -> Time {
         let path = self.topo.path(src, dst, route);
-        let dead = path.links().iter().any(|&link| {
+        let dead = path.intermediate().iter().any(|&link| {
             self.link_faults[link as usize]
                 .as_ref()
                 .is_some_and(|inj| inj.lane_dead())
         });
         if dead {
-            return Time::MAX;
+            Time::MAX
+        } else if inj_busy {
+            Time::ZERO
+        } else {
+            self.contention_key(src, dst, route, ready)
         }
-        self.contention_key(src, dst, route, ready)
     }
 
     /// Pick the route for one packet and advance the pair's round-robin
@@ -365,7 +378,7 @@ impl Switch {
     /// so ties — including the zero-contention case — reproduce the
     /// round-robin sequence exactly. Loopback never enters the fabric and
     /// always takes the plain counter under either policy.
-    fn select_route(&mut self, src: usize, dst: usize, ready: Time) -> usize {
+    fn select_route(&mut self, src: usize, dst: usize, ready: Time, inj_busy: bool) -> usize {
         let n = self.topo.nodes();
         let rpp = self.cfg.routes_per_pair;
         let rr = self.route_rr[src * n + dst];
@@ -373,10 +386,10 @@ impl Switch {
             rr
         } else {
             let mut best = rr;
-            let mut best_key = self.route_key(src, dst, best, ready);
+            let mut best_key = self.route_key(src, dst, best, ready, inj_busy);
             for k in 1..rpp {
                 let cand = (rr + k) % rpp;
-                let key = self.route_key(src, dst, cand, ready);
+                let key = self.route_key(src, dst, cand, ready, inj_busy);
                 if key < best_key {
                     best = cand;
                     best_key = key;
@@ -385,15 +398,15 @@ impl Switch {
             if best != rr {
                 if let Some(t) = &self.tracer {
                     // A strict improvement implies the candidate paths
-                    // differ, i.e. a cross-frame pair, so links()[1] is the
-                    // chosen cable: its track names the lane dodged onto,
+                    // differ, i.e. a cross-frame pair, so intermediate()[0]
+                    // is the chosen cable: its track names the lane dodged onto,
                     // and the arg carries the occupancy delta dodged (ns,
                     // saturated when the incumbent lane was dead).
                     let dodged = self
-                        .route_key(src, dst, rr, ready)
+                        .route_key(src, dst, rr, ready, inj_busy)
                         .as_ns()
                         .saturating_sub(best_key.as_ns());
-                    let cable = self.topo.path(src, dst, best).links()[1];
+                    let cable = self.topo.path(src, dst, best).intermediate()[0];
                     t.instant(
                         ready.as_ns(),
                         self.track(cable),
@@ -458,7 +471,7 @@ impl Switch {
     pub fn transit(&mut self, src: usize, dst: usize, wire_bytes: usize, ready: Time) -> Transit {
         if src == dst {
             assert!(src < self.topo.nodes(), "node out of range");
-            let route = self.select_route(src, dst, ready);
+            let route = self.select_route(src, dst, ready, false);
             let link = self.topo.inj_link(src);
             let ser = self.serialization(wire_bytes);
             let start = self.claim_first(link, ready, ser);
@@ -480,8 +493,11 @@ impl Switch {
             };
         }
         let t = self.origin_phase(src, dst, wire_bytes, ready);
+        let Some(t) = self.fabric_phase(t) else {
+            return Transit::Dropped;
+        };
         let route = t.route;
-        match self.fabric_phase(t).and_then(|t| self.eject_phase(t)) {
+        match self.eject_phase(t) {
             Some((at, dup_at)) => Transit::Delivered { at, route, dup_at },
             None => Transit::Dropped,
         }
@@ -499,11 +515,10 @@ impl Switch {
         self.stats.hops += other.hops;
     }
 
-    /// Stage 1 of [`Switch::transit`]: route selection consumes the
-    /// pair's round-robin counter, and the injection link is claimed and
-    /// traced. Non-loopback only. No injector classifies here: every
-    /// verdict on the injection link is taken by the fabric stage, and the
-    /// delivery counters are charged at the ejection stage.
+    /// Stage 1 of [`Switch::transit`]: the injection link is claimed and
+    /// traced. Non-loopback only. No route is chosen and no injector
+    /// classifies here: both happen in the fabric stage, and the delivery
+    /// counters are charged at the ejection stage.
     pub fn origin_phase(
         &mut self,
         src: usize,
@@ -515,14 +530,13 @@ impl Switch {
         assert!(src < n && dst < n, "node out of range");
         assert_ne!(src, dst, "loopback never enters the fabric");
         let ser = self.serialization(wire_bytes);
-        let route = self.select_route(src, dst, ready);
         let start = self.claim_first(self.topo.inj_link(src), ready, ser);
         StagedTransit {
             src,
             dst,
             wire_bytes,
             ready,
-            route,
+            route: 0,
             origin_start: start,
             hop_start: start,
             arrival: start + ser,
@@ -534,8 +548,12 @@ impl Switch {
         }
     }
 
-    /// Stage 2 of [`Switch::transit`]: classify the packet and walk the
-    /// intermediate stages. The fabric-wide verdict comes first, and a
+    /// Stage 2 of [`Switch::transit`]: choose the route, classify the
+    /// packet and walk the intermediate stages. The route is chosen first,
+    /// so a packet dropped here still consumes its pair's round-robin
+    /// counter; the adaptive policy reads only the intermediate links this
+    /// stage claims, and whether the injection link was busy at `ready`
+    /// (`origin_start > ready`). The fabric-wide verdict comes next, and a
     /// fabric-wide drop returns before the injection link's own injector
     /// ever sees the packet. Both verdicts are keyed to the instant the
     /// packet entered the fabric. A drop here loses the packet on its
@@ -544,9 +562,9 @@ impl Switch {
     /// this fabric's counters). A cross-frame path then classifies and
     /// claims each intermediate link — one flat cable, or a fat tree's up-
     /// and down-links — in order. A sharded fabric runs this stage on the
-    /// one shard owning every injector it consults and every link it
-    /// claims.
+    /// one shard owning every route counter, injector and link it reads.
     pub fn fabric_phase(&mut self, mut t: StagedTransit) -> Option<StagedTransit> {
+        t.route = self.select_route(t.src, t.dst, t.ready, t.origin_start > t.ready);
         let inj = self.topo.inj_link(t.src);
         let mut dropped = false;
         match self.fault.classify_pair_at(t.src, t.dst, t.ready) {
@@ -575,22 +593,17 @@ impl Switch {
             }
             return None;
         }
+        // Walk every intermediate stage (none within a frame, where the
+        // next and final stage is the ejection link).
         let path = self.topo.path(t.src, t.dst, t.route);
-        let links = path.links();
-        if links.len() == 2 {
-            // Same-frame: the next (and final) stage is the ejection link.
-            return Some(t);
-        }
-        // Walk every intermediate stage: one flat cable, or a fat tree's
-        // up- and down-links.
         let mut prev = inj;
-        for &link in &links[1..links.len() - 1] {
+        for &link in path.intermediate() {
             if !self.staged_hop(&mut t, link, prev, false) {
                 return None;
             }
             prev = link;
         }
-        t.hops = (links.len() - 1) as u64;
+        t.hops = path.hops() as u64;
         Some(t)
     }
 
@@ -604,14 +617,11 @@ impl Switch {
     pub fn eject_phase(&mut self, mut t: StagedTransit) -> Option<(Time, Option<Time>)> {
         let ser = self.serialization(t.wire_bytes);
         let link = self.topo.ej_link(t.dst);
-        let prev = if t.hops >= 2 {
-            // The last link claimed before ejection: the packet's final
-            // intermediate stage (flat cable, or deepest fat-tree down-link).
-            let path = self.topo.path(t.src, t.dst, t.route);
-            path.links()[path.links().len() - 2]
-        } else {
-            self.topo.inj_link(t.src)
-        };
+        // The last link claimed before ejection: the final intermediate
+        // stage (flat cable, or deepest fat-tree down-link), or the
+        // injection link within a frame.
+        let path = self.topo.path(t.src, t.dst, t.route);
+        let prev = path.links()[path.links().len() - 2];
         if !self.staged_hop(&mut t, link, prev, true) {
             return None;
         }
@@ -843,7 +853,8 @@ mod tests {
     /// destination's owner. The sharded stages run as three passes over the
     /// whole stream, so each stage sees the other stages' links and
     /// injectors only through the carried [`StagedTransit`]. Outcomes,
-    /// merged stats and every pair's route counter must match.
+    /// merged stats and every pair's route counter (kept by the shard that
+    /// runs the pair's fabric stage) must match.
     fn assert_sharded_matches_one_fabric(
         mk: impl Fn() -> Switch,
         owner: &[usize],
@@ -881,7 +892,8 @@ mod tests {
         }
         let n = one.nodes();
         for (pair, &rr) in one.route_rr.iter().enumerate() {
-            assert_eq!(parts[owner[pair / n]].route_rr[pair], rr, "pair {pair}");
+            let fab = if pipelined { FABRIC } else { owner[pair / n] };
+            assert_eq!(parts[fab].route_rr[pair], rr, "pair {pair}");
         }
         let mut parts = parts.into_iter();
         let mut merged = parts.next().unwrap();
@@ -914,6 +926,7 @@ mod tests {
         let mut s = sw(3);
         let t0 = s.origin_phase(0, 2, 256, Time::ZERO);
         let t1 = s.origin_phase(1, 2, 256, Time::ZERO);
+        let (t0, t1) = (s.fabric_phase(t0).unwrap(), s.fabric_phase(t1).unwrap());
         assert_eq!(
             t0.arrival, t1.arrival,
             "independent injection links, same arrival"
@@ -956,13 +969,21 @@ mod tests {
 
     /// Pipelined sharding across frames under fabric-wide and per-link
     /// faults, with every node on its own shard: the fabric shard owns the
-    /// fabric-wide injector, the injection-link injectors and the cables,
-    /// including the coupling where a fabric-wide drop skips the injection
-    /// link's own classification.
+    /// route counters, the fabric-wide injector, the injection-link
+    /// injectors and the cables, including the coupling where a fabric-wide
+    /// drop skips the injection link's own classification. Under either
+    /// policy, so the adaptive choice made on the fabric shard sees the
+    /// same cable occupancy as on one fabric.
     #[test]
     fn staged_pipeline_matches_serial_with_faults() {
-        let mk = || {
-            let mut s = cross(2, 2); // nodes 0,1 | 2,3
+        let mk = |route_policy| {
+            let mut s = Switch::with_topology(
+                Topology::multi_frame(2, 2), // nodes 0,1 | 2,3
+                SwitchConfig {
+                    route_policy,
+                    ..SwitchConfig::default()
+                },
+            );
             let mut g = FaultInjector::with_seed(9);
             g.drop_indices.insert(2);
             g.dup_indices.insert(4);
@@ -992,8 +1013,13 @@ mod tests {
             (1, 2, 256, 500),                 // inj1 dup + global delay
             (3, 0, 512, 600),                 // clean cross-frame
             (0, 2, 256, 700),                 // route 2: dropped at the cable
+            (1, 2, 256, 700),                 // contends for the cables
+            (0, 3, 128, 700),
+            (2, 1, 256, 800),
         ];
-        assert_sharded_matches_one_fabric(mk, &[0, 1, 2, 3], 4, true, &sends);
+        for policy in [RoutePolicy::RoundRobin, RoutePolicy::Adaptive] {
+            assert_sharded_matches_one_fabric(|| mk(policy), &[0, 1, 2, 3], 4, true, &sends);
+        }
     }
 
     #[test]

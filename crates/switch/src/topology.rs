@@ -144,6 +144,13 @@ impl HopPath {
         &self.links[..self.len as usize]
     }
 
+    /// The links between the injection and the ejection link: a flat
+    /// cable, or a fat tree's up- and down-links. Empty within a frame.
+    /// These are the only links that differ between a pair's routes.
+    pub fn intermediate(&self) -> &[LinkId] {
+        &self.links[1..self.len as usize - 1]
+    }
+
     /// Switch stages crossed: one per link after the first (the first link
     /// only serializes the packet out of the adapter).
     pub fn hops(&self) -> usize {

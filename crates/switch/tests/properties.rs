@@ -170,7 +170,9 @@ proptest! {
     /// The adaptive policy never selects a candidate route whose
     /// contention key (first-contended-link `free` time) is strictly worse
     /// than another candidate's at decision time — i.e. the chosen route
-    /// always attains the minimum key over all candidates.
+    /// always attains the minimum key over all candidates. A packet whose
+    /// injection link is still busy meets that link first on every route,
+    /// so all its candidates tie and any choice attains the minimum.
     #[test]
     fn adaptive_never_picks_a_strictly_busier_candidate(
         ta in 0usize..64,
@@ -189,19 +191,22 @@ proptest! {
             let src = src % n;
             let dst = (src + 1 + offset % (n - 1)) % n;
             let ready = Time(ready_ns);
-            let keys: Vec<Time> =
-                (0..rpp).map(|r| sw.contention_key(src, dst, r, ready)).collect();
-            match sw.transit(src, dst, bytes, ready) {
-                Transit::Delivered { route, .. } => {
-                    let min = *keys.iter().min().unwrap();
-                    prop_assert_eq!(
-                        keys[route], min,
-                        "picked route {} (key {:?}) over keys {:?}",
-                        route, keys[route], keys
-                    );
-                }
-                Transit::Dropped => unreachable!("no faults configured"),
-            }
+            // The origin stage claims only the injection link, so the
+            // intermediate links read below are as the fabric stage sees them.
+            let t = sw.origin_phase(src, dst, bytes, ready);
+            let busy = t.origin_start > ready;
+            let keys: Vec<Time> = (0..rpp)
+                .map(|r| if busy { Time::ZERO } else { sw.contention_key(src, dst, r, ready) })
+                .collect();
+            let t = sw.fabric_phase(t).expect("no faults configured");
+            let route = t.route;
+            sw.eject_phase(t).expect("no faults configured");
+            let min = *keys.iter().min().unwrap();
+            prop_assert_eq!(
+                keys[route], min,
+                "picked route {} (key {:?}) over keys {:?}",
+                route, keys[route], keys
+            );
         }
     }
 
@@ -378,15 +383,10 @@ fn frozen_run(
     s
 }
 
-/// Frozen reference for the packet path. The fingerprint was captured by
-/// running this battery against the original serial `transit` walk, before
-/// `transit` became the composition of the staged phases; it pins every
-/// arrival instant, route, duplicate instant and drop, plus the final
-/// statistics, across a single frame, a multi-frame fabric and a
-/// three-tier fat tree under both routing policies.
-#[test]
-fn transit_matches_frozen_reference() {
-    const FROZEN: u64 = 0xea5f_ee7c_0e94_7b6a;
+/// Run the frozen battery under `policy` — a single frame, a multi-frame
+/// fabric and a three-tier fat tree, each with its own seed — and return
+/// the fingerprint of every outcome plus the summed statistics.
+fn frozen_fingerprint(policy: RoutePolicy) -> (u64, sp_switch::SwitchStats) {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     let mut total = sp_switch::SwitchStats::default();
     for (i, topo) in [
@@ -397,19 +397,43 @@ fn transit_matches_frozen_reference() {
     .into_iter()
     .enumerate()
     {
-        for policy in [RoutePolicy::RoundRobin, RoutePolicy::Adaptive] {
-            let s = frozen_run(topo.clone(), policy, 0xC0FFEE + i as u64, &mut h);
-            total.dropped += s.dropped;
-            total.delayed += s.delayed;
-            total.duplicated += s.duplicated;
-            total.delivered += s.delivered;
-        }
+        let s = frozen_run(topo, policy, 0xC0FFEE + i as u64, &mut h);
+        total.dropped += s.dropped;
+        total.delayed += s.delayed;
+        total.duplicated += s.duplicated;
+        total.delivered += s.delivered;
     }
     // The battery must actually exercise every verdict.
     assert!(total.dropped > 0 && total.delayed > 0 && total.duplicated > 0);
     assert!(total.delivered > total.dropped);
     if std::env::var_os("SP_GOLDEN_PRINT").is_some() {
-        println!("frozen transit fingerprint: {:#018x} ({total:?})", h.0);
+        println!("{policy:?} transit fingerprint: {:#018x} ({total:?})", h.0);
     }
-    assert_eq!(h.0, FROZEN, "transit diverged from the frozen reference");
+    (h.0, total)
+}
+
+/// Frozen reference for the round-robin packet path. The fingerprint was
+/// captured on the staged walk with the route chosen in the origin stage,
+/// before route choice moved into the fabric stage; round-robin reads no
+/// link state, so the move must leave every arrival instant, route,
+/// duplicate instant and drop, and the final statistics, unchanged.
+#[test]
+fn transit_matches_frozen_reference() {
+    const FROZEN: u64 = 0x5bd3_8e54_5a4e_6a31;
+    let (h, _) = frozen_fingerprint(RoutePolicy::RoundRobin);
+    assert_eq!(h, FROZEN, "transit diverged from the frozen reference");
+}
+
+/// Pinned reference for the adaptive packet path: route choice in the
+/// fabric stage, scoring only the links that differ between a pair's
+/// candidate routes (cables, up- and down-links) and masking severed ones,
+/// with every live route tied while the injection link is busy.
+#[test]
+fn adaptive_transit_matches_pinned_reference() {
+    const PINNED: u64 = 0x03ec_b80b_1d19_a1f7;
+    let (h, _) = frozen_fingerprint(RoutePolicy::Adaptive);
+    assert_eq!(
+        h, PINNED,
+        "adaptive transit diverged from its pinned reference"
+    );
 }

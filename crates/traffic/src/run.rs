@@ -11,7 +11,7 @@
 
 use crate::{Fnv, TrafficConfig, TrafficSchedule};
 use parking_lot::Mutex;
-use sp_adapter::{RoutePolicy, SpConfig};
+use sp_adapter::SpConfig;
 use sp_am::{Am, AmArgs, AmConfig, AmEnv, AmMachine, AmStats, GlobalPtr, HandlerId};
 use sp_sim::{Dur, ShardProfile, Time};
 use sp_trace::Digest;
@@ -53,7 +53,7 @@ pub struct TrafficReport {
     pub events: u64,
     /// Wall-clock duration of the run.
     pub wall: std::time::Duration,
-    /// Engine shards the run used after the adaptive fallback (1 = serial).
+    /// Engine shards the run used (1 = serial).
     pub shards: usize,
     /// Duplicate unpark wake-ups coalesced by the engine.
     pub wakes_coalesced: u64,
@@ -158,13 +158,7 @@ fn tree_barrier(am: &mut Am<'_, NodeState>, gen: u32) -> u64 {
 /// Run `cfg`'s workload on the machine `sp` describes and measure it.
 ///
 /// `sp` carries the topology, routing policy, and engine shard count.
-/// Adaptive routing is the sharded engine's one serial-only feature; such
-/// configurations fall back to one shard rather than panic in the split.
 pub fn run_traffic(cfg: &TrafficConfig, sp: SpConfig) -> TrafficReport {
-    let mut sp = sp;
-    if sp.switch.route_policy == RoutePolicy::Adaptive && sp.parallel > 1 {
-        sp.parallel = 1;
-    }
     let shards = sp.parallel.max(1);
     let nodes = sp.nodes;
     let mut sched = TrafficSchedule::generate(cfg, nodes);
@@ -456,17 +450,32 @@ mod tests {
         );
     }
 
+    /// Adaptive routing runs on the shards: route choice happens on the
+    /// fabric shard, so the run is the serial one at any shard count.
     #[test]
-    fn adaptive_parallel_falls_back_to_serial() {
+    fn adaptive_parallel_matches_serial() {
         let cfg = TrafficConfig {
             horizon_ns: 100_000,
             ..TrafficConfig::new(2)
         };
-        let r = run_traffic(
-            &cfg,
-            small_fabric().routed(RoutePolicy::Adaptive).parallel(4),
-        );
-        assert_eq!(r.shards, 1, "adaptive runs serial");
-        assert!(r.flows > 0);
+        let run = |shards| {
+            run_traffic(
+                &cfg,
+                small_fabric()
+                    .routed(sp_switch::RoutePolicy::Adaptive)
+                    .parallel(shards),
+            )
+        };
+        let serial = run(1);
+        assert!(serial.flows > 0);
+        for shards in [2, 4] {
+            let r = run(shards);
+            assert_eq!(r.shards, shards, "adaptive runs sharded");
+            assert_eq!(
+                (r.hash, r.end_ns),
+                (serial.hash, serial.end_ns),
+                "{shards} shards"
+            );
+        }
     }
 }

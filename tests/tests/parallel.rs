@@ -12,8 +12,8 @@
 //! (global and per-link injectors classify at each packet's owning shard,
 //! so seeded chaos schedules replay identically), and pre-scheduled world
 //! events ([`sp_am::AmMachine::schedule_world_at`] broadcasts, driving the
-//! mid-run dead-cable experiment). Adaptive routing is the one remaining
-//! serial-only feature.
+//! mid-run dead-cable experiment), and adaptive routing (route choice on
+//! the fabric shard, across multi-frame fabrics and fat trees).
 
 use proptest::prelude::*;
 use sp_adapter::{host, SpConfig, SpWorld};
@@ -21,7 +21,7 @@ use sp_am::{Am, AmArgs, AmConfig, AmEnv, AmMachine};
 use sp_mpi::runner::MpiImpl;
 use sp_nas::{run_kernel_on, Kernel, NasClass};
 use sp_sim::{Dur, NodeId, Sim, SimReport, Time};
-use sp_switch::FaultInjector;
+use sp_switch::{FaultInjector, LinkId, RoutePolicy, Topology};
 
 /// FNV-1a, the same construction the golden pins use.
 struct Fnv(u64);
@@ -157,6 +157,59 @@ fn packet_stream_cross_shard_pair_matches_serial() {
     assert_eq!(packet_stream(1, 500, 2), serial);
 }
 
+/// Nodes 1, 2 and 3 each send one packet to node 0, and all three send
+/// steps are due at the same instant and were scheduled at the same
+/// instant, so the three packets contend for node 0's ejection link in
+/// whatever order those steps run. Node 3 reaches the send first (its
+/// wake was queued earliest), node 1 last. Returns the payloads (sender
+/// ids) in arrival order, plus the run fingerprint.
+fn same_instant_sends(shards: usize) -> (Vec<u32>, (u64, u64, u64)) {
+    let nodes = 4;
+    let mut sim = Sim::new(SpWorld::<u32>::new(SpConfig::thin(nodes)), 1);
+    let arrivals = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let log = arrivals.clone();
+    sim.spawn("rx", move |ctx| {
+        for _ in 1..nodes {
+            let pkt = host::spin_recv(ctx, Dur::ns(300));
+            log.lock().unwrap().push(pkt.payload);
+        }
+    });
+    for node in 1..nodes {
+        sim.spawn(format!("tx{node}"), move |ctx| {
+            // Every sender wakes at 10 us, each from a wake queued at a
+            // different instant: node 3's at 10 ns, node 1's at 30 ns.
+            let first = Dur::ns(10 * (nodes - node) as u64);
+            ctx.advance(first);
+            ctx.advance(Dur::us(10.0) - first);
+            host::send_packet(ctx, 0, 64, node as u32).unwrap();
+        });
+    }
+    let report = if shards <= 1 {
+        sim.run().unwrap()
+    } else {
+        sim.run_parallel(shards).unwrap()
+    };
+    let order = arrivals.lock().unwrap().clone();
+    (order, sp_fingerprint(&report))
+}
+
+/// Same-instant sends claim a shared link in one canonical order — node
+/// order — at any shard count. When the barrier broke that tie by source
+/// shard and the one-shard queue by insertion, the one-shard run
+/// delivered `[3, 2, 1]`, 2 shards `[1, 3, 2]` and 4 shards `[1, 2, 3]`.
+#[test]
+fn same_instant_sends_claim_links_in_node_order() {
+    let serial = same_instant_sends(1);
+    assert_eq!(serial.0, vec![1, 2, 3], "one-shard run ranks sends by node");
+    for shards in [2, 4] {
+        assert_eq!(
+            same_instant_sends(shards),
+            serial,
+            "{shards} shards diverged"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // AM-protocol-level: loss-free request/reply + barrier workload.
 // ---------------------------------------------------------------------------
@@ -173,16 +226,20 @@ fn count(env: &mut AmEnv<'_, St>, _args: AmArgs) {
 /// A loss-free AM run: request storm to the right neighbor, then quiesce.
 /// Returns the golden-style fingerprint (end, events, world hash).
 fn am_ring(nodes: usize, requests: u32, shards: usize) -> (u64, u64, u64) {
-    am_ring_on(SpConfig::thin(nodes), requests, shards, |_| {})
+    am_ring_on(SpConfig::thin(nodes), 1, requests, shards, |_| {})
 }
 
-/// [`am_ring`] on an arbitrary topology, with a pre-run machine hook for
-/// fault installation ([`AmMachine::configure_world`] /
-/// [`AmMachine::schedule_world_at`]). The fingerprint additionally covers
-/// the fault counters (dropped / delayed / duplicated), so a shard-count-
-/// dependent fault classification shows up as a hash mismatch.
+/// [`am_ring`] on an arbitrary topology, each node sending `stride` nodes
+/// round (a stride of half the machine puts every request on the
+/// intermediate tier: cables, or a fat tree's up- and down-links), with a
+/// pre-run machine hook for fault installation
+/// ([`AmMachine::configure_world`] / [`AmMachine::schedule_world_at`]).
+/// The fingerprint additionally covers the fault counters (dropped /
+/// delayed / duplicated), so a shard-count-dependent fault classification
+/// shows up as a hash mismatch.
 fn am_ring_on(
     sp: SpConfig,
+    stride: usize,
     requests: u32,
     shards: usize,
     setup: impl FnOnce(&mut AmMachine),
@@ -201,7 +258,7 @@ fn am_ring_on(
             St::default(),
             move |am: &mut Am<'_, St>| {
                 am.register(count);
-                let right = (node + 1) % nodes;
+                let right = (node + stride) % nodes;
                 am.barrier();
                 for i in 0..requests {
                     am.request_1(right, 0, i);
@@ -256,20 +313,20 @@ fn multi_frame_am_ring_parallel_matches_serial() {
     // (2-link paths) and cross-frame hops (3-link paths over the shared
     // cable bundle), so per-packet claims interleave on every link class.
     let cfg = || SpConfig::multi_frame(2, 2);
-    let serial = am_ring_on(cfg(), 24, 1, |_| {});
+    let serial = am_ring_on(cfg(), 1, 24, 1, |_| {});
     for shards in [2, 4] {
         assert_eq!(
-            am_ring_on(cfg(), 24, shards, |_| {}),
+            am_ring_on(cfg(), 1, 24, shards, |_| {}),
             serial,
             "{shards} shards diverged on 2x2 frames"
         );
     }
     // 4 frames x 1 node: every packet is cross-frame.
     let cfg = || SpConfig::multi_frame(4, 1);
-    let serial = am_ring_on(cfg(), 16, 1, |_| {});
+    let serial = am_ring_on(cfg(), 1, 16, 1, |_| {});
     for shards in [2, 4] {
         assert_eq!(
-            am_ring_on(cfg(), 16, shards, |_| {}),
+            am_ring_on(cfg(), 1, 16, shards, |_| {}),
             serial,
             "{shards} shards diverged on 4x1 frames"
         );
@@ -339,20 +396,21 @@ fn install_chaos_faults(m: &mut AmMachine) {
 fn faulted_am_ring_parallel_matches_serial() {
     // Single frame (but a live global injector forces the staged pipeline
     // under sharding) …
-    let serial = am_ring_on(SpConfig::thin(4), 24, 1, install_chaos_faults);
+    let serial = am_ring_on(SpConfig::thin(4), 1, 24, 1, install_chaos_faults);
     for shards in [2, 4] {
         assert_eq!(
-            am_ring_on(SpConfig::thin(4), 24, shards, install_chaos_faults),
+            am_ring_on(SpConfig::thin(4), 1, 24, shards, install_chaos_faults),
             serial,
             "{shards} shards diverged under faults (single frame)"
         );
     }
     // … and across a frame pair, where cable stages classify too.
-    let serial = am_ring_on(SpConfig::multi_frame(2, 2), 16, 1, install_chaos_faults);
+    let serial = am_ring_on(SpConfig::multi_frame(2, 2), 1, 16, 1, install_chaos_faults);
     for shards in [2, 4] {
         assert_eq!(
             am_ring_on(
                 SpConfig::multi_frame(2, 2),
+                1,
                 16,
                 shards,
                 install_chaos_faults
@@ -408,18 +466,64 @@ fn kill_cable_mid_run(m: &mut AmMachine) {
 
 #[test]
 fn world_event_cable_kill_parallel_matches_serial() {
-    let cfg = || SpConfig::multi_frame(2, 2);
-    let serial = am_ring_on(cfg(), 24, 1, kill_cable_mid_run);
-    assert_ne!(
-        serial,
-        am_ring_on(cfg(), 24, 1, |_| {}),
-        "the cable kill must actually change the run"
-    );
-    for shards in [2, 4] {
-        assert_eq!(
-            am_ring_on(cfg(), 24, shards, kill_cable_mid_run),
+    for policy in [RoutePolicy::RoundRobin, RoutePolicy::Adaptive] {
+        let cfg = || SpConfig::multi_frame(2, 2).routed(policy);
+        let serial = am_ring_on(cfg(), 1, 24, 1, kill_cable_mid_run);
+        assert_ne!(
             serial,
-            "{shards} shards diverged with a mid-run cable kill"
+            am_ring_on(cfg(), 1, 24, 1, |_| {}),
+            "{policy:?}: the cable kill must actually change the run"
+        );
+        for shards in [2, 4] {
+            assert_eq!(
+                am_ring_on(cfg(), 1, 24, shards, kill_cable_mid_run),
+                serial,
+                "{policy:?}: {shards} shards diverged with a mid-run cable kill"
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Adaptive routing: the route choice runs on the fabric shard.
+// ---------------------------------------------------------------------------
+
+/// Per-link faults on the tier adaptive routing scores: the first cable
+/// or up-link is severed (masked out of selection), and the next one
+/// drops every 7th packet crossing it (which the policy cannot see).
+fn install_xlink_faults(m: &mut AmMachine) {
+    m.configure_world(|w| {
+        let first = 2 * w.nodes();
+        let mut dead = FaultInjector::none();
+        dead.drop_every_nth = Some(1);
+        w.switch.set_link_fault_injector(first as LinkId, dead);
+        let mut lossy = FaultInjector::none();
+        lossy.drop_every_nth = Some(7);
+        w.switch
+            .set_link_fault_injector((first + 1) as LinkId, lossy);
+    });
+}
+
+/// Every node of a 2-frame machine and of a 3-tier fat tree sends half-way
+/// round, so every request crosses the intermediate tier and adaptive
+/// routing has occupancy to dodge: its choice must change the run, or the
+/// serial ≡ sharded proptest below (`prop_adaptive_configs_equivalent`)
+/// would compare round-robin runs under another name.
+#[test]
+fn adaptive_routing_changes_cross_traffic() {
+    for topo in [
+        Topology::multi_frame(2, 3),
+        Topology::fat_tree_custom(3, 2, 1, 2, 2),
+    ] {
+        let stride = topo.nodes() / 2;
+        let run = |policy| {
+            let sp = SpConfig::with_topology(topo.clone()).routed(policy);
+            am_ring_on(sp, stride, 24, 1, |_| {})
+        };
+        assert_ne!(
+            run(RoutePolicy::Adaptive),
+            run(RoutePolicy::RoundRobin),
+            "{topo:?}: adaptive must choose differently from round-robin"
         );
     }
 }
@@ -531,6 +635,30 @@ proptest! {
         let serial = pingpong_storm(pairs, rounds, 1);
         for shards in [2usize, 4] {
             prop_assert_eq!(pingpong_storm(pairs, rounds, shards), serial);
+        }
+    }
+
+    /// Random adaptive-routing configurations: a multi-frame fabric or a
+    /// fat tree, any request count and stride, with or without per-link
+    /// faults on the scored tier, must agree between 1, 2, and 4 shards.
+    #[test]
+    fn prop_adaptive_configs_equivalent(
+        fat_tree in any::<bool>(),
+        faults in any::<bool>(),
+        requests in 1u32..32,
+        stride in 1usize..8,
+    ) {
+        let topo = if fat_tree {
+            Topology::fat_tree_custom(3, 2, 1, 2, 2)
+        } else {
+            Topology::multi_frame(2, 3)
+        };
+        let stride = 1 + (stride - 1) % (topo.nodes() - 1);
+        let sp = SpConfig::with_topology(topo).routed(RoutePolicy::Adaptive);
+        let setup: fn(&mut AmMachine) = if faults { install_xlink_faults } else { |_| {} };
+        let serial = am_ring_on(sp.clone(), stride, requests, 1, setup);
+        for shards in [2usize, 4] {
+            prop_assert_eq!(am_ring_on(sp.clone(), stride, requests, shards, setup), serial);
         }
     }
 
