@@ -8,9 +8,9 @@
 //! lazily pop them. Protocol layers add their *own* software costs on top.
 
 use crate::unit::{FifoFull, WirePacket};
-use crate::world::fw_send_step;
+use crate::world::{fw_send_step, SpWorld};
 use crate::SpCtx;
-use sp_sim::Dur;
+use sp_sim::{Dur, Time};
 use sp_trace::{Kind, Track};
 
 /// Write one packet into the caller's send FIFO (host copy + cache-line
@@ -117,90 +117,120 @@ pub fn send_fifo_free<P: Send + 'static>(ctx: &mut SpCtx<P>) -> usize {
 pub fn poll_packet<P: Send + 'static>(ctx: &mut SpCtx<P>) -> Option<WirePacket<P>> {
     let me = ctx.id().0;
     let t0 = ctx.now();
-    ctx.world_then_advance(|w| {
-        let pop_batch = w.cfg.recv_pop_batch;
-        let empty_check = w.cfg.recv_empty_check;
-        let a = &mut w.adapters[me];
-        let track = Track::program(me);
-        match a.recv_fifo.pop_front() {
-            None => {
-                // Idle moment: flush any pending lazy pops so consumed
-                // entries stop holding FIFO capacity (otherwise a partial
-                // batch could pin a small FIFO at "full" forever).
-                if a.recv_unpopped > 0 {
-                    let flushed = a.recv_unpopped as u64;
-                    a.recv_unpopped = 0;
-                    a.stats.lazy_pops += 1;
-                    if let Some(t) = &w.tracer {
-                        let mid = t0 + empty_check;
-                        t.span(t0.as_ns(), mid.as_ns(), track, Kind::HostPollEmpty, 0);
-                        t.span(
-                            mid.as_ns(),
-                            (mid + w.cost.pio_write).as_ns(),
-                            track,
-                            Kind::HostLazyPop,
-                            flushed,
-                        );
-                    }
-                    (None, empty_check + w.cost.pio_write)
-                } else {
-                    if let Some(t) = &w.tracer {
-                        t.span(
-                            t0.as_ns(),
-                            (t0 + empty_check).as_ns(),
-                            track,
-                            Kind::HostPollEmpty,
-                            0,
-                        );
-                    }
-                    (None, empty_check)
-                }
-            }
-            Some(pkt) => {
-                a.recv_unpopped += 1;
-                // Copy out + flush the entry's *used* lines in preparation
-                // for wrap-around.
-                let copy = w.cost.packet_host_cost(pkt.wire_bytes);
-                let mut cost = copy;
-                let mut popped = 0u64;
-                if a.recv_unpopped >= pop_batch {
-                    popped = a.recv_unpopped as u64;
-                    a.recv_unpopped = 0;
-                    a.stats.lazy_pops += 1;
-                    cost += w.cost.pio_write;
-                }
+    ctx.world_then_advance(|w| poll_fifo(w, me, t0))
+}
+
+/// [`NodeCtx::advance`](sp_sim::NodeCtx::advance)`(d)`, then
+/// [`poll_packet`]: the same virtual-time charges and result, but when the
+/// advance has to yield, the FIFO check runs in the driver that resumes
+/// this node (see [`NodeCtx::advance_then`](sp_sim::NodeCtx::advance_then)),
+/// so the node thread is resumed once instead of twice. The popped packet
+/// waits in the adapter's poll slot until this node takes it.
+pub fn poll_packet_after<P: Send + 'static>(ctx: &mut SpCtx<P>, d: Dur) -> Option<WirePacket<P>> {
+    let me = ctx.id().0;
+    let t0 = ctx.now() + d;
+    ctx.advance_then(d, poll_step::<P>, me as u64, t0.as_ns());
+    ctx.world(|w| w.adapters[me].polled.take())
+}
+
+/// [`poll_packet_after`]'s world step: node `me`'s FIFO check at
+/// `t0_ns`, its packet left in the poll slot.
+fn poll_step<P: Send + 'static>(w: &mut SpWorld<P>, me: u64, t0_ns: u64) -> Dur {
+    let me = me as usize;
+    let (pkt, cost) = poll_fifo(w, me, Time(t0_ns));
+    w.adapters[me].polled = pkt;
+    cost
+}
+
+/// Node `me`'s receive-FIFO check at `t0`: the packet, if any, and the host
+/// cost to charge (see [`poll_packet`]).
+fn poll_fifo<P: Send + 'static>(
+    w: &mut SpWorld<P>,
+    me: usize,
+    t0: Time,
+) -> (Option<WirePacket<P>>, Dur) {
+    let pop_batch = w.cfg.recv_pop_batch;
+    let empty_check = w.cfg.recv_empty_check;
+    let a = &mut w.adapters[me];
+    let track = Track::program(me);
+    match a.recv_fifo.pop_front() {
+        None => {
+            // Idle moment: flush any pending lazy pops so consumed
+            // entries stop holding FIFO capacity (otherwise a partial
+            // batch could pin a small FIFO at "full" forever).
+            if a.recv_unpopped > 0 {
+                let flushed = a.recv_unpopped as u64;
+                a.recv_unpopped = 0;
+                a.stats.lazy_pops += 1;
                 if let Some(t) = &w.tracer {
-                    let mid = t0 + copy;
+                    let mid = t0 + empty_check;
+                    t.span(t0.as_ns(), mid.as_ns(), track, Kind::HostPollEmpty, 0);
+                    t.span(
+                        mid.as_ns(),
+                        (mid + w.cost.pio_write).as_ns(),
+                        track,
+                        Kind::HostLazyPop,
+                        flushed,
+                    );
+                }
+                (None, empty_check + w.cost.pio_write)
+            } else {
+                if let Some(t) = &w.tracer {
                     t.span(
                         t0.as_ns(),
-                        mid.as_ns(),
+                        (t0 + empty_check).as_ns(),
                         track,
-                        Kind::HostPollHit,
-                        pkt.wire_bytes as u64,
-                    );
-                    if popped > 0 {
-                        t.span(
-                            mid.as_ns(),
-                            (t0 + cost).as_ns(),
-                            track,
-                            Kind::HostLazyPop,
-                            popped,
-                        );
-                    }
-                    // Drain-side occupancy sample: deliveries record the
-                    // rising edge, pops record the falling edge, so the
-                    // FIFO-depth gauge sees both directions.
-                    t.counter(
-                        t0.as_ns(),
-                        Track::adapter(me),
-                        Kind::RecvOccupancy,
-                        a.recv_fifo.len() as u64,
+                        Kind::HostPollEmpty,
+                        0,
                     );
                 }
-                (Some(pkt), cost)
+                (None, empty_check)
             }
         }
-    })
+        Some(pkt) => {
+            a.recv_unpopped += 1;
+            // Copy out + flush the entry's *used* lines in preparation
+            // for wrap-around.
+            let copy = w.cost.packet_host_cost(pkt.wire_bytes);
+            let mut cost = copy;
+            let mut popped = 0u64;
+            if a.recv_unpopped >= pop_batch {
+                popped = a.recv_unpopped as u64;
+                a.recv_unpopped = 0;
+                a.stats.lazy_pops += 1;
+                cost += w.cost.pio_write;
+            }
+            if let Some(t) = &w.tracer {
+                let mid = t0 + copy;
+                t.span(
+                    t0.as_ns(),
+                    mid.as_ns(),
+                    track,
+                    Kind::HostPollHit,
+                    pkt.wire_bytes as u64,
+                );
+                if popped > 0 {
+                    t.span(
+                        mid.as_ns(),
+                        (t0 + cost).as_ns(),
+                        track,
+                        Kind::HostLazyPop,
+                        popped,
+                    );
+                }
+                // Drain-side occupancy sample: deliveries record the
+                // rising edge, pops record the falling edge, so the
+                // FIFO-depth gauge sees both directions.
+                t.counter(
+                    t0.as_ns(),
+                    Track::adapter(me),
+                    Kind::RecvOccupancy,
+                    a.recv_fifo.len() as u64,
+                );
+            }
+            (Some(pkt), cost)
+        }
+    }
 }
 
 /// True if a packet is waiting in the receive FIFO (free cached check; used
@@ -214,11 +244,12 @@ pub fn recv_pending<P: Send + 'static>(ctx: &mut SpCtx<P>) -> bool {
 /// on top of the hardware check cost. Used by raw (protocol-less)
 /// calibration benchmarks.
 pub fn spin_recv<P: Send + 'static>(ctx: &mut SpCtx<P>, spin_cost: Dur) -> WirePacket<P> {
+    let mut pkt = poll_packet(ctx);
     loop {
-        if let Some(pkt) = poll_packet(ctx) {
+        if let Some(pkt) = pkt {
             return pkt;
         }
-        ctx.advance(spin_cost);
+        pkt = poll_packet_after(ctx, spin_cost);
     }
 }
 

@@ -104,6 +104,9 @@ pub(crate) struct Adapter<P> {
     pub(crate) recv_unpopped: usize,
     /// Total receive FIFO capacity (64 × active nodes).
     pub(crate) recv_capacity: usize,
+    /// A packet the host's last deferred poll took out of the receive FIFO,
+    /// waiting for the node to pick it up (see `host::poll_packet_after`).
+    pub(crate) polled: Option<WirePacket<P>>,
     pub(crate) stats: AdapterStats,
 }
 
@@ -120,6 +123,7 @@ impl<P> Adapter<P> {
             recv_fifo: VecDeque::new(),
             recv_unpopped: 0,
             recv_capacity,
+            polled: None,
             stats: AdapterStats::default(),
         }
     }

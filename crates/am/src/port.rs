@@ -432,16 +432,17 @@ impl<S> AmPort<S> {
     pub(crate) fn poll(&mut self, ctx: &mut AmCtx, state: &mut S) -> usize {
         self.stats.polls += 1;
         let t0 = ctx.now();
-        ctx.advance(self.cfg.poll_cpu);
-        self.t_span(t0, ctx.now(), TraceKind::AmPoll, 0);
+        let mut next = host::poll_packet_after(ctx, self.cfg.poll_cpu);
+        self.t_span(t0, t0 + self.cfg.poll_cpu, TraceKind::AmPoll, 0);
         self.made_progress = false;
         let mut processed = 0usize;
-        while let Some(wpkt) = host::poll_packet(ctx) {
+        while let Some(wpkt) = next {
             processed += 1;
             let d0 = ctx.now();
             ctx.advance(self.cfg.dispatch_cpu);
             self.t_span(d0, ctx.now(), TraceKind::AmDispatch, wpkt.src as u64);
             self.handle_packet(ctx, state, wpkt.src, wpkt.payload);
+            next = host::poll_packet(ctx);
         }
         // Keep-alive: the paper emulates timeouts "by counting the number
         // of unsuccessful polls". A poll is unsuccessful if it made no

@@ -257,9 +257,9 @@ impl<'c> Mpl<'c> {
     /// Drain the adapter, assembling fragments, matching completed
     /// messages, and returning credits. Returns packets processed.
     pub fn poll(&mut self) -> usize {
-        self.ctx.advance(self.cfg.poll_cpu);
         let mut processed = 0;
-        while let Some(wpkt) = host::poll_packet(self.ctx) {
+        let mut next = host::poll_packet_after(self.ctx, self.cfg.poll_cpu);
+        while let Some(wpkt) = next {
             processed += 1;
             let src = wpkt.src;
             match wpkt.payload {
@@ -312,6 +312,7 @@ impl<'c> Mpl<'c> {
                     }
                 }
             }
+            next = host::poll_packet(self.ctx);
         }
         processed
     }

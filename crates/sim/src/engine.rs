@@ -30,6 +30,14 @@ pub(crate) type EventFn<W> = Box<dyn FnOnce(&mut EventCtx<'_, W>) + Send + 'stat
 /// two integer arguments (see [`EventCtx::schedule_hot`]).
 pub type HotFn<W> = fn(&mut EventCtx<'_, W>, u64, u64);
 
+/// Allocation-free world step a node hands to its shard's driver (see
+/// [`NodeCtx::advance_then`]): a plain `fn` pointer called with two integer
+/// arguments, returning the virtual time it charges the node.
+pub type StepFn<W> = fn(&mut W, u64, u64) -> Dur;
+
+/// A parked [`StepFn`] with its arguments.
+pub(crate) type Step<W> = (StepFn<W>, u64, u64);
+
 /// Event payload.
 pub(crate) enum EvKind<W: Send + 'static> {
     /// Resume node `node` if its epoch still matches.
@@ -260,9 +268,96 @@ pub(crate) struct Inner<W: Send + 'static> {
     pub(crate) horizon: Time,
     /// Present iff this `Inner` is one shard of a run with two or more.
     pub(crate) shard: Option<ShardSlot>,
+    /// Per node (indexed by global id): the world step its next runnable
+    /// wake runs in the driver, before the node resumes (see
+    /// [`NodeCtx::advance_then`]).
+    pub(crate) steps: Vec<Option<Step<W>>>,
     /// Trace recorder; `None` (the default) keeps every hook down to a
     /// single branch so the fast path stays allocation-free.
     pub(crate) tracer: Option<Tracer>,
+}
+
+impl<W: Send + 'static> Inner<W> {
+    /// Zero-handoff advance: move running node `id`'s clock (which the
+    /// shard clock tracks while the node runs) to `until` without yielding
+    /// the baton, provided nothing else could possibly run first.
+    ///
+    /// While a node program runs it holds its shard's baton, so no other
+    /// thread drives the shard and its lock is uncontended: the check is
+    /// one lock acquire instead of a trip through the drive loop. The fast
+    /// path applies only when (a) no pending event falls at or before
+    /// `until` (strictly: same-time events were pushed with smaller
+    /// sequence numbers and must run before a Wake would), (b) `until` is
+    /// below the window horizon, and (c) the shard's budget quota is not
+    /// spent — each fast advance replaces exactly one Wake event and is
+    /// charged against the quota. A latched unpark signal does not matter:
+    /// nothing the advance does reads or consumes it.
+    fn fast_advance(&mut self, id: NodeId, until: Time) -> bool {
+        if until >= self.horizon
+            || self.sched.queue.peek().is_some_and(|ev| ev.time <= until)
+            || self.budget_left == 0
+        {
+            return false;
+        }
+        self.budget_left -= 1;
+        self.events += 1;
+        debug_assert!(until >= self.now, "fast advance went backwards");
+        if let Some(t) = &self.tracer {
+            t.span(
+                self.now.as_ns(),
+                until.as_ns(),
+                Track::program(id.0),
+                TraceKind::NodeAdvance,
+                1,
+            );
+        }
+        self.now = until;
+        true
+    }
+
+    /// Put running node `id` to sleep until `until`: the slow path of an
+    /// advance, resumed by a `Timeout` wake.
+    fn sleep(&mut self, id: NodeId, until: Time) {
+        let epoch = self.nodes[id.0].epoch;
+        self.nodes[id.0].state = NState::Sleeping;
+        if let Some(t) = &self.tracer {
+            // While a node runs, `now` tracks its local clock, so the
+            // slow-path advance spans `[now, until)`.
+            t.span(
+                self.now.as_ns(),
+                until.as_ns(),
+                Track::program(id.0),
+                TraceKind::NodeAdvance,
+                0,
+            );
+        }
+        self.sched.push(
+            until,
+            Tie::unranked(self.now),
+            EvKind::Wake {
+                node: id,
+                epoch,
+                reason: WakeReason::Timeout,
+            },
+        );
+    }
+
+    /// Charge running node `id` `d` of virtual time: a zero cost charges
+    /// nothing and never yields; otherwise the fast path if it applies,
+    /// else the node sleeps. Returns the node's resume time when it keeps
+    /// running, `None` when it went to sleep.
+    pub(crate) fn charge(&mut self, id: NodeId, d: Dur) -> Option<Time> {
+        if d == Dur::ZERO {
+            return Some(self.now);
+        }
+        let until = self.now + d;
+        if self.fast_advance(id, until) {
+            Some(until)
+        } else {
+            self.sleep(id, until);
+            None
+        }
+    }
 }
 
 /// One shard's engine state, shared by the threads that take turns driving
@@ -342,80 +437,46 @@ impl<W: Send + 'static> Shared<W> {
         f(&mut self.inner.lock().world)
     }
 
-    /// Zero-handoff advance: move virtual time to `until` without yielding
-    /// the baton, provided nothing else could possibly run first.
-    ///
-    /// While a node program runs it holds its shard's baton, so no other
-    /// thread drives the shard and this lock is uncontended: the check is
-    /// one lock acquire instead of a trip through the drive loop. The fast
-    /// path applies only when (a) no pending event falls at or before
-    /// `until` (strictly: same-time events were pushed with smaller
-    /// sequence numbers and must run before a Wake would), (b) no unpark
-    /// signal is latched for this node, and (c) the shard's budget quota is
-    /// not spent — each fast advance replaces exactly one Wake event and is
-    /// charged against the quota.
+    /// Zero-handoff advance for [`NodeCtx::park_timeout`]: move node `id`'s
+    /// clock to `until` without yielding, if [`Inner::fast_advance`] allows.
     pub(crate) fn try_fast_advance(&self, id: NodeId, until: Time) -> bool {
-        let mut inner = self.inner.lock();
-        if inner.nodes[id.0].signal
-            || until >= inner.horizon
-            || inner.sched.queue.peek().is_some_and(|ev| ev.time <= until)
-            || inner.budget_left == 0
-        {
-            return false;
-        }
-        inner.budget_left -= 1;
-        inner.events += 1;
-        debug_assert!(until >= inner.now, "fast advance went backwards");
-        if let Some(t) = &inner.tracer {
-            t.span(
-                inner.now.as_ns(),
-                until.as_ns(),
-                Track::program(id.0),
-                TraceKind::NodeAdvance,
-                1,
-            );
-        }
-        inner.now = until;
-        true
+        self.inner.lock().fast_advance(id, until)
     }
 
-    /// Run a world closure and attempt the fast-path advance for the
-    /// duration it returns, all under a single lock acquire. Returns the
-    /// closure result, the computed wake time, and whether the fast path
-    /// was taken (if not, the caller must fall back to a normal sleep).
+    /// Move node `id`'s clock to `until`, then run `then` (if any) and
+    /// charge what it returns, as [`NodeCtx::world_then_advance`] would.
+    /// Returns the node's resume time when it keeps running, `None` when
+    /// it went to sleep and must yield: the advance itself could not take
+    /// the fast path (then `then` is parked in the node's step slot for
+    /// the driver that pops its wake), or the step's charge could not.
+    pub(crate) fn advance(&self, id: NodeId, until: Time, then: Option<Step<W>>) -> Option<Time> {
+        let inner = &mut *self.inner.lock();
+        if !inner.fast_advance(id, until) {
+            inner.sleep(id, until);
+            inner.steps[id.0] = then;
+            return None;
+        }
+        match then {
+            None => Some(until),
+            Some((step, a, b)) => {
+                let d = step(&mut inner.world, a, b);
+                inner.charge(id, d)
+            }
+        }
+    }
+
+    /// Run a world closure and charge the duration it returns, all under a
+    /// single lock acquire (see [`Inner::charge`]). Returns the closure
+    /// result and the node's resume time, or `None` if it went to sleep
+    /// and must yield.
     pub(crate) fn world_charge<R>(
         &self,
         id: NodeId,
-        now: Time,
         f: impl FnOnce(&mut W) -> (R, Dur),
-    ) -> (R, Time, bool) {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
+    ) -> (R, Option<Time>) {
+        let inner = &mut *self.inner.lock();
         let (r, d) = f(&mut inner.world);
-        let until = now + d;
-        if d == Dur::ZERO {
-            // Nothing to charge: never yields, never counts an event.
-            return (r, until, true);
-        }
-        let fast = !inner.nodes[id.0].signal
-            && until < inner.horizon
-            && inner.sched.queue.peek().is_none_or(|ev| ev.time > until)
-            && inner.budget_left > 0;
-        if fast {
-            inner.budget_left -= 1;
-            inner.events += 1;
-            if let Some(t) = &inner.tracer {
-                t.span(
-                    now.as_ns(),
-                    until.as_ns(),
-                    Track::program(id.0),
-                    TraceKind::NodeAdvance,
-                    1,
-                );
-            }
-            inner.now = until;
-        }
-        (r, until, fast)
+        (r, inner.charge(id, d))
     }
 
     pub(crate) fn schedule(&self, at: Time, tie: Tie, kind: EvKind<W>) {
@@ -427,33 +488,6 @@ impl<W: Send + 'static> Shared<W> {
         let sig = inner.nodes[id.0].signal;
         inner.nodes[id.0].signal = false;
         sig
-    }
-
-    pub(crate) fn note_sleep(&self, id: NodeId, until: Time) {
-        let mut inner = self.inner.lock();
-        let epoch = inner.nodes[id.0].epoch;
-        inner.nodes[id.0].state = NState::Sleeping;
-        if let Some(t) = &inner.tracer {
-            // While a node runs, `inner.now` tracks its local clock, so the
-            // slow-path advance spans `[inner.now, until)`.
-            t.span(
-                inner.now.as_ns(),
-                until.as_ns(),
-                Track::program(id.0),
-                TraceKind::NodeAdvance,
-                0,
-            );
-        }
-        let gen = inner.now;
-        inner.sched.push(
-            until,
-            Tie::unranked(gen),
-            EvKind::Wake {
-                node: id,
-                epoch,
-                reason: WakeReason::Timeout,
-            },
-        );
     }
 
     pub(crate) fn note_park(&self, id: NodeId, timeout: Option<Time>) {
@@ -1105,6 +1139,33 @@ mod tests {
             .collect();
         assert_eq!(parks.len(), 1, "second park_timeout really parks");
         assert_eq!(parks[0].at, 3_000);
+    }
+
+    #[test]
+    fn advance_fast_path_ignores_a_latched_unpark() {
+        // An event unparks the node while it sleeps through a slow-path
+        // advance, latching the signal. The next advance cannot be
+        // interrupted, so it still takes the fast path (NodeAdvance span
+        // with arg=1), and the signal waits for the next park.
+        let tracer = Tracer::new(1, 1024);
+        let mut sim = Sim::new((), 0);
+        sim.set_tracer(tracer.clone());
+        let me = NodeId(0);
+        sim.spawn("t", move |ctx| {
+            ctx.schedule(Dur::us(1.0), move |e| e.unpark(me));
+            ctx.advance(Dur::us(2.0));
+            ctx.advance(Dur::us(3.0));
+            assert_eq!(ctx.park_timeout(Dur::us(10.0)), WakeReason::Unparked);
+            assert_eq!(ctx.now().as_us(), 5.0, "the latched signal survives");
+        });
+        sim.run().unwrap();
+        let adv: Vec<_> = tracer
+            .snapshot()
+            .into_iter()
+            .filter(|r| r.kind == TraceKind::NodeAdvance)
+            .map(|r| (r.at, r.dur, r.arg))
+            .collect();
+        assert_eq!(adv, vec![(0, 2_000, 0), (2_000, 3_000, 1)]);
     }
 
     #[test]

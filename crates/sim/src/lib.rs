@@ -51,7 +51,7 @@ mod node;
 mod parallel;
 mod time;
 
-pub use engine::{EventCtx, HotFn, NodeId, ShardProfile, ShardReport, Sim, SimReport, Tie};
+pub use engine::{EventCtx, HotFn, NodeId, ShardProfile, ShardReport, Sim, SimReport, StepFn, Tie};
 pub use error::SimError;
 pub use node::{NodeCtx, WakeReason};
 pub use parallel::{ShardMsg, Shardable};

@@ -6,10 +6,12 @@
 //! a node that yields becomes its shard's driver (see the `parallel`
 //! module), popping events until its own wake surfaces — it then resumes
 //! with no context switch — or until it grants another node's baton and
-//! blocks on its own. A baton is a tiny state machine guarded by a
-//! `parking_lot` mutex/condvar pair per node.
+//! blocks on its own. A node may park a world step with its wake
+//! ([`NodeCtx::advance_then`]), which the driver runs before it grants. A
+//! baton is a tiny state machine guarded by a `parking_lot` mutex/condvar
+//! pair per node.
 
-use crate::engine::{EvKind, NodeId, Shared, Tie};
+use crate::engine::{EvKind, NodeId, Shared, Step, StepFn, Tie};
 use crate::parallel::Core;
 use crate::time::{Dur, Time};
 use parking_lot::{Condvar, Mutex};
@@ -202,37 +204,54 @@ impl<W: Send + 'static> NodeCtx<W> {
     /// are latched and delivered by the next `park`/`park_timeout`.
     ///
     /// When nothing else could run inside the span — no pending event at or
-    /// before `now + d`, no latched unpark — the clock moves under a single
-    /// uncontended lock acquire without driving the shard at all
-    /// (see `Shared::try_fast_advance`); virtual-time behavior is identical
-    /// either way.
+    /// before `now + d` — the clock moves under a single uncontended lock
+    /// acquire without driving the shard at all (see `Inner::fast_advance`);
+    /// virtual-time behavior is identical either way. A latched unpark does
+    /// not stop the fast path: the advance cannot be interrupted, so the
+    /// signal waits for the next park either way.
     pub fn advance(&mut self, d: Dur) {
+        self.advance_with(d, None);
+    }
+
+    /// [`NodeCtx::advance`]`(d)` followed by
+    /// [`NodeCtx::world_then_advance`]`(|w| ((), step(w, a, b)))`, with the
+    /// same virtual-time behavior, event count and trace, but cheaper on the
+    /// host: when the advance has to yield, the node parks the step with
+    /// its wake, and the driver that pops the wake runs the step and charges
+    /// its cost itself. The node thread is then resumed once — after the
+    /// step's charge — instead of once for the advance and once more if the
+    /// step's charge yields. The step sees exactly the state the resumed
+    /// node would have seen: one thread per shard runs at a time, and the
+    /// driver runs the step before anything else. `step` is a plain `fn`
+    /// (like [`HotFn`](crate::HotFn)), so nothing is allocated; a result
+    /// larger than the returned cost travels through the world. A panic in
+    /// the step fails the run as this node's panic.
+    pub fn advance_then(&mut self, d: Dur, step: StepFn<W>, a: u64, b: u64) {
+        self.advance_with(d, Some((step, a, b)));
+    }
+
+    fn advance_with(&mut self, d: Dur, then: Option<Step<W>>) {
         let until = self.now + d;
-        if self.shared.try_fast_advance(self.id, until) {
-            self.now = until;
-            return;
-        }
-        self.shared.note_sleep(self.id, until);
-        let (t, _) = self.yield_and_drive();
-        debug_assert_eq!(t, until);
-        self.now = t;
+        self.now = match self.shared.advance(self.id, until, then) {
+            Some(t) => t,
+            None => self.yield_and_drive().0,
+        };
     }
 
     /// Access the world and charge virtual time in one combined operation:
     /// `f` returns `(result, cost)` and the cost is charged as by
-    /// [`NodeCtx::advance`], all under a single lock acquire when the fast
-    /// path applies. A zero cost charges nothing and never yields (use it
-    /// for error arms that abort before touching the hardware).
+    /// [`NodeCtx::advance`], all under a single lock acquire. A zero cost
+    /// charges nothing and never yields (use it for error arms that abort
+    /// before touching the hardware). When the cost has to yield, the node
+    /// sleeps like a slow-path [`NodeCtx::advance`]; to fold an advance
+    /// *before* the world access into the same yield, see
+    /// [`NodeCtx::advance_then`].
     pub fn world_then_advance<R>(&mut self, f: impl FnOnce(&mut W) -> (R, Dur)) -> R {
-        let (r, until, fast) = self.shared.world_charge(self.id, self.now, f);
-        if fast {
-            self.now = until;
-            return r;
-        }
-        self.shared.note_sleep(self.id, until);
-        let (t, _) = self.yield_and_drive();
-        debug_assert_eq!(t, until);
-        self.now = t;
+        let (r, resumed) = self.shared.world_charge(self.id, f);
+        self.now = match resumed {
+            Some(t) => t,
+            None => self.yield_and_drive().0,
+        };
         r
     }
 

@@ -9,7 +9,10 @@
 //! baton and becomes the shard's driver, popping events and granting
 //! batons until either its own wake surfaces — it resumes with zero context
 //! switches ([`Drive::SelfRun`]) — or it grants another node and waits for
-//! its own next grant (one switch). This keeps the
+//! its own next grant (one switch). A wake may carry a world step the node
+//! parked with it ([`NodeCtx::advance_then`]): the driver runs the step
+//! and charges its cost before it grants the baton, so a node whose step
+//! puts it back to sleep is not resumed at all. This keeps the
 //! single-runner-per-shard discipline that makes world access
 //! data-race-free. A node whose program returns keeps driving until it
 //! hands the role on. A one-shard run has an unbounded horizon, so it ends
@@ -95,6 +98,7 @@ use crate::node::{Baton, Drive, NodeCtx, ShutdownToken, WakeReason};
 use crate::time::{Dur, Time};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use sp_trace::{Kind as TraceKind, Tracer, Track};
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -555,8 +559,9 @@ impl<W: Send + 'static> Core<W> {
         self.barrier(sid, msgs, unparks, next, arrive)
     }
 
-    /// One shard's event loop: pop-and-execute below the horizon, grant
-    /// batons to woken nodes, and when the window is exhausted arrive at the
+    /// One shard's event loop: pop-and-execute below the horizon, run the
+    /// world step a woken node parked with its wake, grant batons to woken
+    /// nodes, and when the window is exhausted arrive at the
     /// barrier (sharded) or end the run (one shard: the queue is empty).
     /// Returns when the baton moved to another node ([`Drive::Handed`]), the
     /// caller's own wake surfaced ([`Drive::SelfRun`]), or the run ended
@@ -646,19 +651,52 @@ impl<W: Send + 'static> Core<W> {
                             matches!(reason, WakeReason::Unparked) as u64,
                         );
                     }
+                    let mut at = ev.time;
+                    if let Some((step, a, b)) = inner.steps[node.0].take() {
+                        // The node's parked world step (`advance_then`):
+                        // run it here, where the resumed node would have,
+                        // and charge it as the node would have.
+                        let world = &mut inner.world;
+                        let d = match catch_unwind(AssertUnwindSafe(|| step(world, a, b))) {
+                            Ok(d) => d,
+                            Err(payload) => {
+                                inner.nodes[node.0].state = NState::Done;
+                                let name = inner.nodes[node.0].name.clone();
+                                drop(inner);
+                                self.halt(Some(SimError::NodePanicked {
+                                    node: name,
+                                    message: panic_message(payload),
+                                }));
+                                return Drive::Shutdown;
+                            }
+                        };
+                        match inner.charge(node, d) {
+                            Some(t) => at = t,
+                            None => continue, // asleep again: keep driving
+                        }
+                    }
                     drop(inner);
                     if me == Some(node) {
                         // The driver's own wake: resume in place, zero
                         // hand-offs.
-                        return Drive::SelfRun(ev.time, reason);
+                        return Drive::SelfRun(at, reason);
                     }
-                    self.batons[node.0].grant(ev.time, reason);
+                    self.batons[node.0].grant(at, reason);
                     return Drive::Handed;
                 }
                 kind => exec_event(&mut inner, ev.time, ev.tie, kind),
             }
         }
     }
+}
+
+/// The message of a panic payload, for [`SimError::NodePanicked`].
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic payload>".to_string())
 }
 
 /// A run's per-shard engines and barrier state after a clean finish,
@@ -747,6 +785,7 @@ impl<W: Send + 'static> Sim<W> {
                     now: Time::ZERO,
                     sched,
                     nodes,
+                    steps: vec![None; num_nodes],
                     events: 0,
                     sync_events: 0,
                     budget_left: self.event_budget,
@@ -801,15 +840,10 @@ impl<W: Send + 'static> Sim<W> {
                     if payload.is::<ShutdownToken>() {
                         return; // orderly teardown
                     }
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic payload>".to_string());
                     ctx.shared.note_done(NodeId(i));
                     core.halt(Some(SimError::NodePanicked {
                         node: name,
-                        message,
+                        message: panic_message(payload),
                     }));
                 })
                 .expect("spawn node thread");
