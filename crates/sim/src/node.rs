@@ -8,8 +8,11 @@
 //! with no context switch — or until it grants another node's baton and
 //! blocks on its own. A node may park a world step with its wake
 //! ([`NodeCtx::advance_then`]), which the driver runs before it grants. A
-//! baton is a tiny state machine guarded by a `parking_lot` mutex/condvar
-//! pair per node.
+//! baton is a tiny state machine in a mutex, with a condvar the node
+//! thread waits on. Every wake follows the unlock: the vendored condvar
+//! has no wait morphing, so a node notified while the granter still held
+//! the mutex would wake only to block on it, and one handoff would enter
+//! the kernel twice.
 
 use crate::engine::{EvKind, NodeId, Shared, Step, StepFn, Tie};
 use crate::parallel::Core;
@@ -59,8 +62,7 @@ impl Baton {
 
     /// Teardown: tell a blocked node thread to unwind and exit.
     pub(crate) fn exit(&self) {
-        let mut slot = self.slot.lock();
-        *slot = Slot::Exit;
+        *self.slot.lock() = Slot::Exit; // unlocked before the wake
         self.cv.notify_one();
     }
 
@@ -76,6 +78,8 @@ impl Baton {
         }
         debug_assert!(matches!(*slot, Slot::Idle), "grant: baton not idle");
         *slot = Slot::Run { at, reason };
+        // Wake after the unlock (module docs).
+        drop(slot);
         self.cv.notify_one();
     }
 
@@ -337,5 +341,49 @@ impl<W: Send + 'static> NodeCtx<W> {
         };
         self.shared
             .schedule(self.now + after, tie, EvKind::Hot { f, a, b });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Whether `wait_for_run` unwinds with the teardown token. Call it only
+    /// when the slot holds `Run` or `Exit`: an idle baton would block.
+    fn unwinds(baton: &Baton) -> bool {
+        let out = catch_unwind(AssertUnwindSafe(|| baton.wait_for_run()));
+        matches!(out, Err(payload) if payload.is::<ShutdownToken>())
+    }
+
+    fn is_exit(baton: &Baton) -> bool {
+        matches!(*baton.slot.lock(), Slot::Exit)
+    }
+
+    #[test]
+    fn exit_after_grant_unwinds_the_waiter() {
+        let baton = Baton::new();
+        baton.grant(Time::ZERO, WakeReason::Timeout);
+        baton.exit();
+        assert!(unwinds(&baton));
+    }
+
+    #[test]
+    fn grant_after_exit_is_ignored() {
+        let baton = Baton::new();
+        baton.exit();
+        baton.grant(Time::ZERO, WakeReason::Timeout);
+        assert!(is_exit(&baton), "a racing grant must not undo Exit");
+        assert!(unwinds(&baton));
+    }
+
+    #[test]
+    fn release_after_exit_keeps_exit() {
+        let baton = Baton::new();
+        baton.grant(Time::ZERO, WakeReason::Timeout);
+        baton.exit();
+        baton.release();
+        assert!(is_exit(&baton), "release must not undo Exit");
+        assert!(unwinds(&baton));
     }
 }

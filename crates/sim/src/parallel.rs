@@ -58,6 +58,12 @@
 //! than cores, or other runs in the same process) the shard still in its
 //! window gets the CPU. The run's calling thread waits on a condvar of its
 //! own that only the end of the run signals, so no window wakes it.
+//! Parked arrivers are counted under the state lock, and the window
+//! opener notifies the condvar only when that count is above zero: a
+//! notify costs a system call even with no waiter, and most windows close
+//! within the spin. Opening a window and ending the run both notify after
+//! the state lock is released, so a woken thread does not block on it
+//! again (the vendored condvar has no wait morphing).
 //!
 //! ## Event budget
 //!
@@ -239,6 +245,9 @@ struct GState<W: Send + 'static> {
     next: Vec<Option<Time>>,
     /// Drivers arrived at the current barrier round.
     arrived: usize,
+    /// Early arrivers parked on [`Core::cv`], so the window-open path
+    /// makes the wake syscall only when someone sleeps.
+    sleepers: usize,
     /// Barrier generation counter; [`Core::round`] mirrors it.
     round: u64,
     /// Completed lookahead windows.
@@ -273,6 +282,7 @@ impl<W: Send + 'static> GState<W> {
             unparks: (0..num_shards).map(|_| Vec::new()).collect(),
             next: vec![None; num_shards],
             arrived: 0,
+            sleepers: 0,
             round: 0,
             windows: 0,
             cross_unparks: 0,
@@ -318,17 +328,19 @@ impl<W: Send + 'static> Core<W> {
     /// [`Core::stop`], taking the state lock. Callers must not hold any
     /// shard's inner lock.
     fn halt(&self, err: Option<SimError>) {
-        self.stop(&mut self.state.lock(), err);
+        self.stop(self.state.lock(), err);
     }
 
     /// End the run — with `err` as its failure unless an earlier one was
-    /// recorded — and release everyone.
-    fn stop(&self, st: &mut GState<W>, err: Option<SimError>) {
+    /// recorded — and release everyone. The wakes follow the unlock, so a
+    /// woken thread does not block again on the state lock.
+    fn stop(&self, mut st: MutexGuard<'_, GState<W>>, err: Option<SimError>) {
         if st.failed.is_none() {
             st.failed = err;
         }
         st.stop = true;
         self.stopped.store(true, Ordering::Release);
+        drop(st);
         self.cv.notify_all();
         self.done.notify_all();
     }
@@ -356,9 +368,11 @@ impl<W: Send + 'static> Core<W> {
             std::thread::yield_now();
         }
         let mut st = self.state.lock();
+        st.sleepers += 1;
         while st.round == round && !st.stop {
             self.cv.wait(&mut st);
         }
+        st.sleepers -= 1;
         !st.stop
     }
 
@@ -459,7 +473,7 @@ impl<W: Send + 'static> Core<W> {
                 at,
                 budget: self.budget,
             };
-            self.stop(&mut st, Some(err));
+            self.stop(st, Some(err));
             return false;
         }
         for dst in 0..self.shards.len() {
@@ -507,7 +521,7 @@ impl<W: Send + 'static> Core<W> {
         match m {
             None => {
                 // Every queue drained and no traffic in flight: done.
-                self.stop(&mut st, None);
+                self.stop(st, None);
                 false
             }
             Some(m) => {
@@ -529,10 +543,14 @@ impl<W: Send + 'static> Core<W> {
                     );
                 }
                 // Publish the round only now that the window is open, and
-                // release every early arriver.
+                // wake the early arrivers that parked, after the unlock.
                 st.round += 1;
                 self.round.store(st.round, Ordering::Release);
-                self.cv.notify_all();
+                let sleepers = st.sleepers > 0;
+                drop(st);
+                if sleepers {
+                    self.cv.notify_all();
+                }
                 true
             }
         }
