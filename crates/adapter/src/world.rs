@@ -760,10 +760,9 @@ impl<P: Send + Clone + 'static> Shardable for SpWorld<P> {
         }
     }
 
-    fn take_messages(&mut self) -> Vec<ShardMsg<SpMsg<P>>> {
-        match &mut self.shard {
-            Some(sh) => std::mem::take(&mut sh.outbox),
-            None => Vec::new(),
+    fn take_messages(&mut self, out: &mut Vec<ShardMsg<SpMsg<P>>>) {
+        if let Some(sh) = &mut self.shard {
+            out.append(&mut sh.outbox);
         }
     }
 }

@@ -7,10 +7,11 @@
 //! the adapter.
 
 use crate::config::ReliabilityConfig;
-use crate::wire::{AmPacket, Body, Channel, ShortKind};
+use crate::wire::{AmPacket, Body, Channel, Payload, ShortKind};
 use sp_adapter::MAX_PAYLOAD;
 use sp_sim::Time;
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// Jacobson/Karels round-trip estimator feeding the adaptive
 /// retransmission timeout. Pure integer arithmetic in virtual nanoseconds
@@ -116,8 +117,9 @@ pub(crate) struct BulkTx {
     pub handler: u16,
     /// Handler argument words.
     pub args: [u32; 4],
-    /// Source data snapshot.
-    pub data: Box<[u8]>,
+    /// Source data snapshot, taken once per transfer; every packet's
+    /// [`Payload`] is a range of it.
+    pub data: Arc<[u8]>,
     /// Whether the final ack should complete handle `id` on *this* node
     /// (false for get-serving transfers, whose `id` belongs to the
     /// requester and completes over there on data arrival).
@@ -134,7 +136,7 @@ impl BulkTx {
         dst_addr: u32,
         handler: u16,
         args: [u32; 4],
-        data: Box<[u8]>,
+        data: Arc<[u8]>,
     ) -> Self {
         assert!(!data.is_empty(), "zero-length bulk transfer");
         BulkTx {
@@ -155,7 +157,7 @@ impl BulkTx {
         dst_addr: u32,
         handler: u16,
         args: [u32; 4],
-        data: Box<[u8]>,
+        data: Arc<[u8]>,
     ) -> Self {
         BulkTx {
             track_completion: false,
@@ -392,7 +394,7 @@ impl TxChan {
                         base_addr: bulk.dst_addr,
                         total_len: bulk.data.len() as u32,
                         xfer: bulk.id,
-                        bytes: bulk.data[off..off + len].into(),
+                        bytes: Payload::new(bulk.data.clone(), off..off + len),
                     },
                 };
                 self.unacked.push_back(Saved {

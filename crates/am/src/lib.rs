@@ -93,7 +93,7 @@ pub use machine::{AmMachine, AmReport};
 pub use mem::{GlobalPtr, Mem, MemPool};
 pub use port::AmPort;
 pub use stats::AmStats;
-pub use wire::{AmPacket, Body, Channel, CHUNK_BYTES, CHUNK_PACKETS};
+pub use wire::{AmPacket, Body, Channel, Payload, CHUNK_BYTES, CHUNK_PACKETS};
 
 /// World type used by every SP AM simulation.
 pub type AmWorld = sp_adapter::SpWorld<wire::AmPacket>;

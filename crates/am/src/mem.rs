@@ -139,6 +139,13 @@ impl MemPool {
         out
     }
 
+    /// Read `len` bytes at `p` into a fresh shared snapshot: one copy,
+    /// straight out of the arena.
+    pub(crate) fn read_shared(&self, p: GlobalPtr, len: usize) -> Arc<[u8]> {
+        let a = p.addr as usize;
+        Arc::from(&self.shared.arenas.lock()[p.node].data[a..a + len])
+    }
+
     /// Write `bytes` at `p`.
     pub fn write(&self, p: GlobalPtr, bytes: &[u8]) {
         self.shared.arenas.lock()[p.node].write(p.addr, bytes);

@@ -12,6 +12,7 @@ use crate::AmCtx;
 use sp_adapter::host;
 use sp_trace::{Kind as TraceKind, Tracer, Track};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 /// Handler table index.
 pub(crate) const HANDLER_NONE: u16 = u16::MAX;
@@ -250,7 +251,7 @@ impl<S> AmPort<S> {
         ctx: &mut AmCtx,
         dst_node: usize,
         dst_addr: u32,
-        data: Box<[u8]>,
+        data: Arc<[u8]>,
         handler: u16,
         args: [u32; 4],
         completion: Option<(u16, [u32; 4])>,
@@ -990,7 +991,7 @@ impl<S> AmPort<S> {
         handler: u16,
         args: [u32; 4],
     ) {
-        let data = self.mem.read_vec(
+        let data = self.mem.read_shared(
             crate::GlobalPtr {
                 node: self.me,
                 addr: src_addr,
@@ -998,11 +999,7 @@ impl<S> AmPort<S> {
             len as usize,
         );
         self.peers[requester].tx[Channel::Reply.idx()].push(SendItem::Bulk(BulkTx::untracked(
-            xfer,
-            dst_addr,
-            handler,
-            args,
-            data.into_boxed_slice(),
+            xfer, dst_addr, handler, args, data,
         )));
         self.pump_peer(ctx, requester);
     }

@@ -4,8 +4,16 @@
 //! sequence number, piggybacked cumulative ACKs, bulk addressing) lives in
 //! the 32-byte adapter header, so a full chunk packet still carries 224
 //! payload bytes and the paper's chunk arithmetic (36 × 224 = 8064) holds.
+//!
+//! A bulk packet's bytes are a [`Payload`]: a range of its transfer's
+//! immutable snapshot, shared by reference count. Emitting a packet,
+//! saving it for retransmission and retransmitting it copy no bytes, so
+//! a packet that crosses engine shards leaves no heap block behind for
+//! the other shard's thread to free.
 
 use sp_adapter::MAX_PAYLOAD;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 /// Packets per bulk-transfer chunk (§2.2 footnote: 8064-byte chunks).
 pub const CHUNK_PACKETS: usize = 36;
@@ -38,6 +46,57 @@ impl Channel {
     /// Both channels.
     pub const BOTH: [Channel; 2] = [Channel::Request, Channel::Reply];
 }
+
+/// The bytes of one bulk packet: `data[start..end]` of its transfer's
+/// snapshot. Cloning shares the snapshot. Sharing is safe because nothing
+/// writes a snapshot once it is taken: the switch's fault kinds drop,
+/// delay or duplicate a packet but never rewrite its bytes. Compares and
+/// prints as the byte slice it names.
+#[derive(Clone)]
+pub struct Payload {
+    data: Arc<[u8]>,
+    start: u32,
+    end: u32,
+}
+
+impl Payload {
+    /// The bytes `range` of `data`. Panics if the range is out of bounds.
+    pub fn new(data: Arc<[u8]>, range: Range<usize>) -> Payload {
+        assert!(
+            range.start <= range.end && range.end <= data.len(),
+            "payload range {range:?} outside a {}-byte snapshot",
+            data.len()
+        );
+        Payload {
+            data,
+            start: range.start as u32,
+            end: range.end as u32,
+        }
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        &self.data[self.start as usize..self.end as usize]
+    }
+}
+
+impl std::fmt::Debug for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
 
 /// Short-message flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,8 +162,8 @@ pub enum Body {
         /// Issuing node's transfer id: lets an `am_get` requester match the
         /// arriving data to its handle.
         xfer: u32,
-        /// The data.
-        bytes: Box<[u8]>,
+        /// The data: a range of the transfer's shared snapshot.
+        bytes: Payload,
     },
     /// Explicit acknowledgement (ACK content rides in the shared header
     /// fields `ack_req`/`ack_rep`).
@@ -242,11 +301,23 @@ mod tests {
                 base_addr: 0,
                 total_len: 8064,
                 xfer: 0,
-                bytes: vec![0u8; 224].into_boxed_slice(),
+                bytes: Payload::new(vec![0u8; 224].into(), 0..224),
             },
         };
         assert_eq!(p.payload_bytes(), MAX_PAYLOAD);
         assert!(!p.is_control());
+    }
+
+    #[test]
+    fn payload_clones_share_the_snapshot() {
+        let snap: Arc<[u8]> = (0..=255u8).collect::<Vec<u8>>().into();
+        let p = Payload::new(snap.clone(), 10..14);
+        let q = p.clone();
+        assert_eq!(&*q, &[10, 11, 12, 13]);
+        assert!(Arc::ptr_eq(&p.data, &q.data), "a clone copied the bytes");
+        assert_eq!(Arc::strong_count(&snap), 3);
+        assert_eq!(p, Payload::new(vec![9, 10, 11, 12, 13].into(), 1..5));
+        assert_eq!(format!("{q:?}"), "[10, 11, 12, 13]");
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::node::{NodeCtx, WakeReason};
 use crate::time::{Dur, Time};
 use parking_lot::Mutex;
 use sp_trace::{Kind as TraceKind, Tracer, Track};
+use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -239,6 +240,12 @@ pub(crate) struct ShardSlot {
     /// inherit broadcast mode (counted on shard 0, sync elsewhere) so the
     /// run-wide `events` total matches the serial twin.
     pub(crate) broadcast: bool,
+    /// Inbound cross-shard messages waiting for their sync events: the
+    /// window barrier stores each in a slot here and queues a
+    /// [`EvKind::SyncHot`] that names the slot. Typed by the world's
+    /// message type, so it is erased here and created by the first
+    /// barrier that delivers to this shard.
+    pub(crate) msgs: Option<Box<dyn Any + Send>>,
 }
 
 pub(crate) struct Inner<W: Send + 'static> {
@@ -669,6 +676,11 @@ impl<'a, W: Send + 'static> EventCtx<'a, W> {
         let at = at.max(self.now);
         self.sched
             .push(at, Tie::unranked(self.now), EvKind::SyncHot { f, a, b });
+    }
+
+    /// This shard's slot in a sharded run (`None` in a one-shard run).
+    pub(crate) fn shard_slot(&mut self) -> Option<&mut ShardSlot> {
+        self.shard.as_mut()
     }
 
     /// Unpark a node program (see [`NodeCtx::unpark`](crate::NodeCtx::unpark)).

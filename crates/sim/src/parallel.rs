@@ -45,6 +45,22 @@
 //! synchronization overhead stays observable ([`SimReport::sync_events`],
 //! [`SimReport::windows`]).
 //!
+//! Messages cross by value, and moving one allocates nothing. The last
+//! arriver at a barrier drains every shard's outbound messages, in shard
+//! order, and moves each into its destination shard's *message slab*, a
+//! slot vector that reuses freed slots. Per destination it keeps the
+//! `(timestamp, tie, slot)` keys in a buffer that keeps its capacity from
+//! window to window, sorts them, and queues one allocation-free
+//! `SyncHot` event per key that names the slot.
+//! That event's `fn` is monomorphised for the world: it takes the message
+//! out of the slab and calls [`Shardable::apply_msg`]. The slab's type is
+//! erased in the shard's state, which does not know the world's message
+//! type, and recovered by a checked downcast. Boxing each message in a
+//! closure instead would allocate a block on the source shard's thread
+//! that the destination shard's thread frees, and once the freeing
+//! thread's cache for that size is full, glibc's `free` of another
+//! thread's block takes (and may wait on) that thread's arena lock.
+//!
 //! ## The window barrier
 //!
 //! A window is a few microseconds of host time on packet workloads, so the
@@ -96,7 +112,7 @@
 //! exactly — see `tests/parallel.rs` and the proptest equivalence suite.
 
 use crate::engine::{
-    broadcast_kind, exec_event, EvKind, EventCtx, EventFn, Inner, NState, NodeId, NodeMeta, Sched,
+    broadcast_kind, exec_event, EvKind, EventCtx, Inner, NState, NodeId, NodeMeta, Sched,
     ShardProfile, ShardReport, ShardSlot, Shared, Sim, SimReport, Tie,
 };
 use crate::error::SimError;
@@ -168,8 +184,12 @@ pub trait Shardable: Send + Sized + 'static {
     /// event at the message timestamp.
     fn apply_msg(e: &mut EventCtx<'_, Self>, msg: Self::Msg);
 
-    /// Drain this slice's outbound message buffer (called at each barrier).
-    fn take_messages(&mut self) -> Vec<ShardMsg<Self::Msg>>;
+    /// Move this slice's outbound messages, in generation order, to the
+    /// end of `out` (called at each barrier). `out` is the barrier's own
+    /// buffer and keeps its capacity, so appending (e.g. with
+    /// [`Vec::append`], which also keeps the slice's buffer) allocates
+    /// nothing once both have grown to a window's traffic.
+    fn take_messages(&mut self, out: &mut Vec<ShardMsg<Self::Msg>>);
 }
 
 /// The trivial world shards into nothing: no cross-shard interactions, so
@@ -186,9 +206,7 @@ impl Shardable for () {
     }
     fn merge(_parts: Vec<()>) {}
     fn apply_msg(_e: &mut EventCtx<'_, ()>, _msg: ()) {}
-    fn take_messages(&mut self) -> Vec<ShardMsg<()>> {
-        Vec::new()
-    }
+    fn take_messages(&mut self, _out: &mut Vec<ShardMsg<()>>) {}
 }
 
 /// One shard's state snapshot taken at barrier arrival, used to profile
@@ -209,34 +227,133 @@ struct Arrive {
     heap: usize,
 }
 
-/// Inbound cross-shard message, ready to queue: `(src_shard, ts, tie,
-/// apply)`.
-type Inbound<W> = (usize, Time, Tie, EventFn<W>);
+/// The barrier's message buffers, typed by the world's message type and
+/// reused every window.
+struct Mail<M> {
+    /// One source shard's outbound messages, as [`Shardable::take_messages`]
+    /// leaves them; moved into destination slabs before the next source.
+    out: Vec<ShardMsg<M>>,
+    /// Per destination shard: `(ts, tie, slot)` of the window's inbound
+    /// messages, by source shard in ascending order, each source's in
+    /// generation order. Only these keys are sorted; each message stays
+    /// in its slot.
+    inbox: Vec<Vec<(Time, Tie, usize)>>,
+}
 
-/// Drains a world slice's outbound messages at a window barrier, each
-/// turned into the sync event that applies it on the destination shard.
-type Outbox<W> = fn(&mut W) -> Vec<ShardMsg<EventFn<W>>>;
+/// A destination shard's message slab ([`ShardSlot::msgs`]): messages
+/// waiting for the sync events that apply them, by slot.
+struct Slab<M> {
+    slots: Vec<Option<M>>,
+    /// Empty slots, reused before `slots` grows.
+    free: Vec<usize>,
+}
 
-fn drain_outbox<W: Shardable>(w: &mut W) -> Vec<ShardMsg<EventFn<W>>> {
-    w.take_messages()
-        .into_iter()
-        .map(|m| {
-            let msg = m.msg;
-            let apply: EventFn<W> = Box::new(move |e| W::apply_msg(e, msg));
-            ShardMsg {
-                ts: m.ts,
-                tie: m.tie,
-                dst_shard: m.dst_shard,
-                msg: apply,
+impl<M: Send + 'static> Slab<M> {
+    /// The slab of shard `slot`, created on first use.
+    fn of(slot: &mut ShardSlot) -> &mut Slab<M> {
+        slot.msgs
+            .get_or_insert_with(|| {
+                Box::new(Slab::<M> {
+                    slots: Vec::new(),
+                    free: Vec::new(),
+                })
+            })
+            .downcast_mut()
+            .expect("message slab matches the world's message type")
+    }
+
+    fn insert(&mut self, msg: M) -> usize {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(msg);
+                slot
             }
-        })
-        .collect()
+            None => {
+                self.slots.push(Some(msg));
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    fn take(&mut self, slot: usize) -> M {
+        let msg = self.slots[slot].take().expect("message slot applied twice");
+        self.free.push(slot);
+        msg
+    }
+}
+
+/// The typed half of the window barrier, run by the last arriver with
+/// every shard at the barrier: move all shards' outbound messages into
+/// their destinations' slabs and queues, and lower each receiving shard's
+/// `next` event time to match. The mail is a `Mail<W::Msg>`.
+type Deliver<W> = fn(&mut (dyn Any + Send), &[Arc<Shared<W>>], &mut [Option<Time>]);
+
+fn deliver<W: Shardable>(
+    mail: &mut (dyn Any + Send),
+    shards: &[Arc<Shared<W>>],
+    next: &mut [Option<Time>],
+) {
+    let Mail { out, inbox } = mail
+        .downcast_mut::<Mail<W::Msg>>()
+        .expect("barrier mail matches the world's message type");
+    for src in shards {
+        W::take_messages(&mut src.inner.lock().world, out);
+        // A source's messages mostly share a destination: lock it once
+        // per run of them.
+        let mut dst: Option<(usize, MutexGuard<'_, Inner<W>>)> = None;
+        for m in out.drain(..) {
+            if dst.as_ref().map(|(d, _)| *d) != Some(m.dst_shard) {
+                drop(dst.take());
+                dst = Some((m.dst_shard, shards[m.dst_shard].inner.lock()));
+            }
+            let (d, inner) = dst.as_mut().expect("destination locked");
+            let shard = inner.shard.as_mut().expect("a sharded run's shard");
+            let slot = Slab::of(shard).insert(m.msg);
+            inbox[*d].push((m.ts, m.tie, slot));
+        }
+    }
+    for (dst, keys) in inbox.iter_mut().enumerate() {
+        if keys.is_empty() {
+            continue;
+        }
+        // Deterministic application order, independent of which shard
+        // arrived when: by timestamp, then the world's tie stamp (the
+        // engine queue's same-instant order). The sort is stable and the
+        // keys hold sources in ascending order, so the source shard
+        // breaks remaining ties, then each source's generation order.
+        keys.sort_by_key(|&(ts, tie, _)| (ts, tie));
+        let inner = &mut *shards[dst].inner.lock();
+        // Applied messages queue in sorted order: one shared tie, so the
+        // insertion sequence decides among them.
+        let gen = Tie::unranked(inner.now);
+        for (ts, _, slot) in keys.drain(..) {
+            inner.sched.push(
+                ts.max(inner.now),
+                gen,
+                EvKind::SyncHot {
+                    f: apply_slot::<W>,
+                    a: slot as u64,
+                    b: 0,
+                },
+            );
+        }
+        next[dst] = inner.sched.peek_time();
+    }
+}
+
+/// The sync event of one inbound message: take it out of this shard's
+/// slab (slot `slot`) and apply it.
+fn apply_slot<W: Shardable>(e: &mut EventCtx<'_, W>, slot: u64, _b: u64) {
+    let shard = e.shard_slot().expect("a delivered message's shard");
+    let msg = Slab::<W::Msg>::of(shard).take(slot as usize);
+    W::apply_msg(e, msg);
 }
 
 /// Barrier / completion state shared by all shards of one run.
-struct GState<W: Send + 'static> {
-    /// Per-destination-shard inbound messages.
-    inbox: Vec<Vec<Inbound<W>>>,
+struct GState {
+    /// The barrier's message buffers: a `Mail` of the world's message
+    /// type, read by [`Core::deliver`].
+    mail: Box<dyn Any + Send>,
     /// Per-destination-shard deferred cross-shard unparks:
     /// `(target, ts, src_shard)`.
     unparks: Vec<Vec<(NodeId, Time, usize)>>,
@@ -275,10 +392,10 @@ struct GState<W: Send + 'static> {
     stop: bool,
 }
 
-impl<W: Send + 'static> GState<W> {
-    fn new(num_shards: usize) -> Self {
+impl GState {
+    fn new(num_shards: usize, mail: Box<dyn Any + Send>) -> Self {
         GState {
-            inbox: (0..num_shards).map(|_| Vec::new()).collect(),
+            mail,
             unparks: (0..num_shards).map(|_| Vec::new()).collect(),
             next: vec![None; num_shards],
             arrived: 0,
@@ -306,10 +423,11 @@ pub(crate) struct Core<W: Send + 'static> {
     pub(crate) batons: Vec<Arc<Baton>>,
     owner: Arc<Vec<usize>>,
     lookahead: Dur,
-    outbox: Outbox<W>,
+    /// Moves the messages in [`GState::mail`] (see [`Deliver`]).
+    deliver: Deliver<W>,
     /// The run's event budget ([`Sim::set_event_budget`]).
     budget: u64,
-    state: Mutex<GState<W>>,
+    state: Mutex<GState>,
     /// Parked early barrier arrivers wait here for the next round.
     cv: Condvar,
     /// The run's calling thread waits here for the end of the run.
@@ -334,7 +452,7 @@ impl<W: Send + 'static> Core<W> {
     /// End the run — with `err` as its failure unless an earlier one was
     /// recorded — and release everyone. The wakes follow the unlock, so a
     /// woken thread does not block again on the state lock.
-    fn stop(&self, mut st: MutexGuard<'_, GState<W>>, err: Option<SimError>) {
+    fn stop(&self, mut st: MutexGuard<'_, GState>, err: Option<SimError>) {
         if st.failed.is_none() {
             st.failed = err;
         }
@@ -348,7 +466,7 @@ impl<W: Send + 'static> Core<W> {
     /// Wait, as an early arriver holding the state lock `st`, for the next
     /// round: spin for up to [`SPIN_BUDGET`], then park. Returns `true` to
     /// continue into the next window.
-    fn await_round<'a>(&'a self, st: MutexGuard<'a, GState<W>>) -> bool {
+    fn await_round<'a>(&'a self, st: MutexGuard<'a, GState>) -> bool {
         let round = st.round;
         drop(st);
         let deadline = Instant::now() + SPIN_BUDGET;
@@ -380,7 +498,7 @@ impl<W: Send + 'static> Core<W> {
     /// each shard's busy time and activity, accumulate the window's width,
     /// and emit the per-shard window/wait spans and heap-depth gauges.
     /// No-op before the first real window (round 0's bootstrap barrier).
-    fn finalize_window(&self, st: &mut GState<W>) {
+    fn finalize_window(&self, st: &mut GState) {
         let start = st.window_start;
         let horizon = st.window_horizon;
         if horizon <= start {
@@ -423,14 +541,14 @@ impl<W: Send + 'static> Core<W> {
         }
     }
 
-    /// Arrive at the window barrier with this shard's outbound traffic,
-    /// next-event time, and profiling snapshot. Returns `true` to continue
-    /// into the next window, `false` when the run is over (finished or
-    /// failed).
+    /// Arrive at the window barrier with this shard's deferred unparks,
+    /// next-event time, and profiling snapshot. (Its outbound messages
+    /// stay in its world slice until the last arriver delivers them.)
+    /// Returns `true` to continue into the next window, `false` when the
+    /// run is over (finished or failed).
     fn barrier(
         &self,
         sid: usize,
-        msgs: Vec<ShardMsg<EventFn<W>>>,
         unparks: Vec<(NodeId, Time)>,
         next: Option<Time>,
         arrive: Arrive,
@@ -438,10 +556,6 @@ impl<W: Send + 'static> Core<W> {
         let mut st = self.state.lock();
         if st.stop {
             return false;
-        }
-        for m in msgs {
-            debug_assert!(m.dst_shard < self.shards.len());
-            st.inbox[m.dst_shard].push((sid, m.ts, m.tie, m.msg));
         }
         for (node, t) in unparks {
             st.unparks[self.owner[node.0]].push((node, t, sid));
@@ -476,28 +590,18 @@ impl<W: Send + 'static> Core<W> {
             self.stop(st, Some(err));
             return false;
         }
+        // Deliver every shard's messages, then the deferred unparks: on
+        // each receiving shard, unparks queue after the window's messages.
+        let GState { mail, next, .. } = &mut *st;
+        (self.deliver)(&mut **mail, &self.shards, next);
         for dst in 0..self.shards.len() {
-            let mut msgs = std::mem::take(&mut st.inbox[dst]);
             let mut unparks = std::mem::take(&mut st.unparks[dst]);
-            if msgs.is_empty() && unparks.is_empty() {
+            if unparks.is_empty() {
                 continue;
             }
-            // Deterministic application order, independent of which shard
-            // arrived when: by timestamp, then the world's tie stamp (the
-            // engine queue's same-instant order), then source shard as a
-            // final total-order tie-break (stable sort preserves each
-            // source's own generation order).
-            msgs.sort_by_key(|(src, ts, tie, _)| (*ts, *tie, *src));
             unparks.sort_by_key(|(node, t, src)| (*t, *src, node.0));
             let inner = &mut *self.shards[dst].inner.lock();
-            // Applied messages queue in sorted order: one shared tie, so
-            // the insertion sequence decides among them.
             let gen = Tie::unranked(inner.now);
-            for (_src, ts, _tie, apply) in msgs {
-                inner
-                    .sched
-                    .push(ts.max(inner.now), gen, EvKind::SyncCall(apply));
-            }
             for (node, t, _src) in unparks {
                 st.cross_unparks += 1;
                 // Replay the unpark as a sync event at its own timestamp
@@ -560,7 +664,6 @@ impl<W: Send + 'static> Core<W> {
     /// (`tripped`: its budget quota is spent). Returns the barrier's
     /// verdict: `true` to continue into the next window.
     fn arrive(&self, sid: usize, mut inner: MutexGuard<'_, Inner<W>>, tripped: bool) -> bool {
-        let msgs = (self.outbox)(&mut inner.world);
         let unparks = match &mut inner.shard {
             Some(s) => std::mem::take(&mut s.remote_unparks),
             None => Vec::new(),
@@ -574,7 +677,7 @@ impl<W: Send + 'static> Core<W> {
             heap: inner.sched.len(),
         };
         drop(inner);
-        self.barrier(sid, msgs, unparks, next, arrive)
+        self.barrier(sid, unparks, next, arrive)
     }
 
     /// One shard's event loop: pop-and-execute below the horizon, run the
@@ -721,7 +824,7 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// before the caller folds them into a [`SimReport`].
 struct Finished<W: Send + 'static> {
     inners: Vec<Inner<W>>,
-    st: GState<W>,
+    st: GState,
     end_time: Time,
     wakes_coalesced: u64,
 }
@@ -734,8 +837,14 @@ impl<W: Send + 'static> Sim<W> {
         let started = std::time::Instant::now();
         let world = self.world.take().expect("world present");
         let owner = Arc::new(vec![0; self.programs.len()]);
-        // The outbox is never drained: a one-shard run has no barrier.
-        let f = self.execute(vec![world], owner, Dur(u64::MAX), |_| Vec::new())?;
+        // A one-shard run has no barrier, so nothing is ever delivered.
+        let f = self.execute(
+            vec![world],
+            owner,
+            Dur(u64::MAX),
+            Box::new(()),
+            |_, _, _| {},
+        )?;
         let inner = f.inners.into_iter().next().expect("one shard");
         let wall = started.elapsed();
         Ok(SimReport {
@@ -760,7 +869,8 @@ impl<W: Send + 'static> Sim<W> {
         worlds: Vec<W>,
         owner: Arc<Vec<usize>>,
         lookahead: Dur,
-        outbox: Outbox<W>,
+        mail: Box<dyn Any + Send>,
+        deliver: Deliver<W>,
     ) -> Result<Finished<W>, SimError> {
         let num_shards = worlds.len();
         let sharded = num_shards > 1;
@@ -815,6 +925,7 @@ impl<W: Send + 'static> Sim<W> {
                         owner: owner.clone(),
                         remote_unparks: Vec::new(),
                         broadcast: false,
+                        msgs: None,
                     }),
                     tracer: tracer.clone(),
                 }),
@@ -825,9 +936,9 @@ impl<W: Send + 'static> Sim<W> {
             batons: (0..num_nodes).map(|_| Baton::new()).collect(),
             owner: owner.clone(),
             lookahead,
-            outbox,
+            deliver,
             budget: self.event_budget,
-            state: Mutex::new(GState::new(num_shards)),
+            state: Mutex::new(GState::new(num_shards, mail)),
             cv: Condvar::new(),
             done: Condvar::new(),
             stopped: AtomicBool::new(false),
@@ -995,7 +1106,17 @@ impl<W: Shardable> Sim<W> {
             num_shards,
             "split must produce one world per shard"
         );
-        let f = self.execute(worlds, owner.clone(), lookahead, drain_outbox::<W>)?;
+        let mail = Mail::<W::Msg> {
+            out: Vec::new(),
+            inbox: (0..num_shards).map(|_| Vec::new()).collect(),
+        };
+        let f = self.execute(
+            worlds,
+            owner.clone(),
+            lookahead,
+            Box::new(mail),
+            deliver::<W>,
+        )?;
         let st = f.st;
         let shard_reports: Vec<ShardReport> = f
             .inners
@@ -1040,6 +1161,31 @@ impl<W: Shardable> Sim<W> {
 mod tests {
     use super::*;
     use crate::{Dur, Sim, WakeReason};
+    use std::sync::mpsc::{self, RecvTimeoutError};
+
+    /// How long a run under [`within_deadline`] may take. Each takes
+    /// milliseconds; the margin covers a loaded machine with every test
+    /// thread pinned to one CPU.
+    const DEADLINE: Duration = Duration::from_secs(30);
+
+    /// Run `f` on a thread of its own and return what it returns, or an
+    /// error for the test to fail with if it has not returned within
+    /// [`DEADLINE`]. A teardown that misses a wake leaves its run waiting
+    /// forever; this turns that hang into a failure (the stuck thread is
+    /// left behind).
+    fn within_deadline<T: Send + 'static>(
+        what: &str,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> Result<T, String> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(DEADLINE).map_err(|e| match e {
+            RecvTimeoutError::Timeout => format!("{what} still running after {DEADLINE:?}"),
+            RecvTimeoutError::Disconnected => format!("{what} panicked"),
+        })
+    }
 
     /// Serial/parallel twin runs of an N-pair ping-pong storm (pure engine
     /// workload on the unit world: park/unpark within each pair).
@@ -1249,8 +1395,8 @@ mod tests {
             // re-schedules the same counted landing event serial runs.
             Mailboxes::relay(e, dst as u64, 0);
         }
-        fn take_messages(&mut self) -> Vec<ShardMsg<usize>> {
-            std::mem::take(&mut self.outbox)
+        fn take_messages(&mut self, out: &mut Vec<ShardMsg<usize>>) {
+            out.append(&mut self.outbox);
         }
     }
 
@@ -1354,8 +1500,8 @@ mod tests {
         fn apply_msg(e: &mut EventCtx<'_, OrderLog>, marker: u64) {
             OrderLog::land(e, marker, 0);
         }
-        fn take_messages(&mut self) -> Vec<ShardMsg<u64>> {
-            std::mem::take(&mut self.outbox)
+        fn take_messages(&mut self, out: &mut Vec<ShardMsg<u64>>) {
+            out.append(&mut self.outbox);
         }
     }
 
@@ -1441,13 +1587,16 @@ mod tests {
     }
 
     /// Serial and parallel runs of a workload that never ends both trip
-    /// the event budget and report the same budget value; the one-shard
-    /// trip keeps its pinned clock. (It checks the verdict, not how many
+    /// the event budget, within the deadline, and report the same budget
+    /// value; the one-shard trip keeps its pinned clock. (It checks the verdict, not how many
     /// events ran: a sharded window may run up to `shards ×` the budget
     /// left, see the module docs.)
     #[test]
     fn budget_error_pins_same_value_serial_and_parallel() {
-        let run = |shards| budget_run(shards, 4, |_| 1, |_| None);
+        let run = |shards| {
+            within_deadline("budget run", move || budget_run(shards, 4, |_| 1, |_| None))
+                .unwrap_or_else(|e| panic!("{e}"))
+        };
         // One shard has no window horizon, so `at` is its clock when the
         // budget ran out — pinned to the value the engine has always given.
         assert_eq!(trip(run(1)), (Time(74), 300));
@@ -1517,7 +1666,7 @@ mod tests {
     /// One-shard teardown: a node panics after its first real yield while
     /// one sibling is parked and another is asleep. The run reports the
     /// panicking node, and every node thread has unwound and been joined
-    /// by the time `run` returns.
+    /// by the time `run` returns, within the deadline.
     #[test]
     fn one_shard_panic_tears_down_parked_and_sleeping_siblings() {
         use std::sync::atomic::AtomicUsize;
@@ -1550,9 +1699,9 @@ mod tests {
             ctx.advance(Dur::us(2.0));
             panic!("boom");
         });
-        let out = sim.run();
+        let out = within_deadline("one-shard teardown", move || sim.run());
         std::panic::set_hook(prev);
-        match out {
+        match out.unwrap_or_else(|e| panic!("{e}")) {
             Err(SimError::NodePanicked { node, message }) => {
                 assert_eq!(node, "bad");
                 assert!(message.contains("boom"));
