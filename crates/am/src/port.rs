@@ -33,6 +33,15 @@ pub struct AmPort<S> {
     mem: MemPool,
     handlers: Vec<HandlerFn<S>>,
     peers: Vec<Peer>,
+    /// Busy-peer set, one bit per peer: a superset of the peers with a
+    /// non-idle send channel. A channel leaves idle only by a `push`, which
+    /// is always followed by [`AmPort::pump_peer`], and that sets the bit
+    /// (a NACK, SACK, RTO or epoch replay only requeues what a busy channel
+    /// already holds). [`AmPort::pump_all`] clears the bit once both
+    /// channels are idle. Every per-peer walk of the poll path visits the
+    /// set in ascending order, so it touches the peers a full scan would
+    /// act on, in the same order.
+    busy: Vec<u64>,
     /// Bulk handles whose transfer has completed (sender-side final ack for
     /// stores; local data arrival for gets).
     completed: HashSet<u32>,
@@ -100,6 +109,7 @@ impl<S> AmPort<S> {
             mem,
             handlers: Vec::new(),
             peers,
+            busy: vec![0; n.div_ceil(64)],
             completed: HashSet::new(),
             completions: HashMap::new(),
             next_bulk_id: 0,
@@ -328,6 +338,7 @@ impl<S> AmPort<S> {
     /// Emit as many queued packets toward `dst` as the windows and the send
     /// FIFO allow, batching doorbells.
     pub(crate) fn pump_peer(&mut self, ctx: &mut AmCtx, dst: usize) {
+        self.busy[dst / 64] |= 1 << (dst % 64);
         let mut free = host::send_fifo_free(ctx);
         let mut pending_doorbell = 0usize;
         for chan in Channel::BOTH {
@@ -372,13 +383,34 @@ impl<S> AmPort<S> {
         }
     }
 
-    /// Pump every peer that has queued or retransmittable traffic.
+    /// Pump every peer that has queued or retransmittable traffic, and
+    /// drop the idle ones from the busy set.
     pub(crate) fn pump_all(&mut self, ctx: &mut AmCtx) {
-        for dst in 0..self.n {
-            if !self.peers[dst].tx[0].idle() || !self.peers[dst].tx[1].idle() {
+        let mut at = 0;
+        while let Some(dst) = self.next_busy(at) {
+            at = dst + 1;
+            if self.peers[dst].tx.iter().all(TxChan::idle) {
+                self.busy[dst / 64] &= !(1 << (dst % 64));
+            } else {
                 self.pump_peer(ctx, dst);
             }
         }
+    }
+
+    /// The lowest peer at or above `from` in the busy set.
+    fn next_busy(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = *self.busy.get(w)? & (!0u64 << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.busy.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// The busy set's peers, in ascending order.
+    fn busy_peers(&self) -> impl Iterator<Item = &Peer> + '_ {
+        std::iter::successors(self.next_busy(0), |&p| self.next_busy(p + 1)).map(|p| &self.peers[p])
     }
 
     /// Stamp the piggybacked cumulative ACKs (plus, in the adaptive modes,
@@ -463,7 +495,29 @@ impl<S> AmPort<S> {
             self.rto_sweep(ctx);
         }
         self.pump_all(ctx);
+        #[cfg(debug_assertions)]
+        self.check_busy_set();
         processed
+    }
+
+    /// The busy set against a full scan of every peer (debug builds, after
+    /// every poll).
+    #[cfg(debug_assertions)]
+    fn check_busy_set(&self) {
+        for (p, peer) in self.peers.iter().enumerate() {
+            assert!(
+                peer.tx.iter().all(TxChan::idle) || self.busy[p / 64] >> (p % 64) & 1 == 1,
+                "node {}: peer {p} has a non-idle send channel but no busy bit",
+                self.me
+            );
+        }
+        let unacked = self
+            .peers
+            .iter()
+            .any(|p| p.tx.iter().any(TxChan::has_unacked));
+        assert_eq!(self.any_unacked(), unacked, "node {}: any_unacked", self.me);
+        let idle = self.peers.iter().all(|p| p.tx.iter().all(TxChan::idle));
+        assert_eq!(self.all_idle(), idle, "node {}: all_idle", self.me);
     }
 
     /// Check every channel's adaptive retransmission timer: an expiry
@@ -471,7 +525,9 @@ impl<S> AmPort<S> {
     /// the channel's backoff (see [`TxChan::maybe_rto`]).
     fn rto_sweep(&mut self, ctx: &mut AmCtx) {
         let now = ctx.now();
-        for dst in 0..self.n {
+        let mut at = 0;
+        while let Some(dst) = self.next_busy(at) {
+            at = dst + 1;
             for chan in Channel::BOTH {
                 let rtx = self.peers[dst].tx[chan.idx()].maybe_rto(now);
                 if rtx > 0 {
@@ -486,23 +542,21 @@ impl<S> AmPort<S> {
     }
 
     fn any_unacked(&self) -> bool {
-        self.peers
-            .iter()
-            .any(|p| p.tx[0].has_unacked() || p.tx[1].has_unacked())
+        self.busy_peers()
+            .any(|p| p.tx.iter().any(TxChan::has_unacked))
     }
 
     /// True when every outbound channel is quiescent (nothing queued,
     /// unacked, or pending retransmission).
     pub fn all_idle(&self) -> bool {
-        self.peers.iter().all(|p| p.tx[0].idle() && p.tx[1].idle())
+        self.busy_peers().all(|p| p.tx.iter().all(TxChan::idle))
     }
 
     /// True when every outbound channel has *emitted* everything it was
     /// asked to send (queues and retransmission buffers empty; acks may
     /// still be outstanding).
     pub fn all_sent(&self) -> bool {
-        self.peers
-            .iter()
+        self.busy_peers()
             .all(|p| p.tx.iter().all(|t| t.queue_len() == 0 && t.rtx_len() == 0))
     }
 
@@ -512,7 +566,9 @@ impl<S> AmPort<S> {
     fn keepalive_round(&mut self, ctx: &mut AmCtx) {
         self.stats.keepalive_rounds += 1;
         let mut probes = 0u64;
-        for dst in 0..self.n {
+        let mut at = 0;
+        while let Some(dst) = self.next_busy(at) {
+            at = dst + 1;
             for chan in Channel::BOTH {
                 if self.peers[dst].tx[chan.idx()].has_unacked() {
                     self.stats.probes_sent += 1;

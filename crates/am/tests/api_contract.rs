@@ -54,8 +54,6 @@ fn argument_words_delivered_exactly() {
 
 #[test]
 fn double_reply_panics() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
     let mut m = AmMachine::new(SpConfig::thin(2), AmConfig::default(), 1);
     m.spawn("tx", St::default(), |am: &mut Am<'_, St>| {
         am.register(record);
@@ -69,14 +67,11 @@ fn double_reply_panics() {
         am.poll_until(|_| false);
     });
     let err = m.run().unwrap_err();
-    std::panic::set_hook(prev);
     assert!(format!("{err}").contains("at most once"), "got: {err}");
 }
 
 #[test]
 fn reply_from_reply_handler_panics() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
     let mut m = AmMachine::new(SpConfig::thin(2), AmConfig::default(), 1);
     m.spawn("tx", St::default(), |am: &mut Am<'_, St>| {
         am.register(replying_from_reply); // handler 0: replies (illegal as reply target)
@@ -91,7 +86,6 @@ fn reply_from_reply_handler_panics() {
         am.drain(sp_sim::Dur::ms(1.0));
     });
     let err = m.run().unwrap_err();
-    std::panic::set_hook(prev);
     assert!(format!("{err}").contains("illegal"), "got: {err}");
 }
 

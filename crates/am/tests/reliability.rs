@@ -174,3 +174,80 @@ fn legacy_mode_never_uses_the_adaptive_machinery() {
     assert_eq!(tx.rtx_sack_gap, 0, "no SACK gaps in legacy mode");
     assert_eq!(rx.ooo_buffered, 0, "legacy receivers drop out-of-order");
 }
+
+#[test]
+fn busy_peer_set_spans_words_through_a_crash() {
+    // 130 nodes put each port's busy-peer set across three 64-bit words.
+    // Node 0 stores to peers on both sides of each word boundary while peer
+    // 64 crashes before anything reaches it, so the sender's walk must keep
+    // every target busy through adaptive RTOs, the epoch adoption and the
+    // replay. The debug check after every poll compares the set against a
+    // full scan; here every store must land exactly once and every node's
+    // `quiesce` must return.
+    const TARGETS: [usize; 5] = [1, 63, 64, 127, 129];
+    const CRASHED: usize = 64;
+    const STORES: usize = 3;
+    const LEN: u32 = 3000;
+    #[derive(Default)]
+    struct Hits([u32; STORES]);
+    fn landed(env: &mut AmEnv<'_, Hits>, args: AmArgs) {
+        env.state.0[args.a[0] as usize] += 1;
+    }
+    let cfg = AmConfig {
+        keepalive_polls: 32,
+        reliability: ReliabilityConfig::adaptive(),
+        ..AmConfig::default()
+    };
+    let mut m = AmMachine::new(SpConfig::multi_frame(10, 13), cfg, 5);
+    assert_eq!(m.nodes(), 130);
+    let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let quiesced = Arc::new(parking_lot::Mutex::new(0usize));
+    let (seen2, quiesced2) = (seen.clone(), quiesced.clone());
+    m.spawn_all(
+        |_| Hits::default(),
+        move |am: &mut Am<'_, Hits>| {
+            let h = am.register(landed);
+            let me = am.node();
+            if me == 0 {
+                let data = vec![0xA5u8; LEN as usize];
+                for i in 0..STORES {
+                    for &dst in &TARGETS {
+                        let to = sp_am::GlobalPtr {
+                            node: dst,
+                            addr: i as u32 * LEN,
+                        };
+                        am.store_async(to, &data, Some(h), &[i as u32], None);
+                    }
+                }
+                am.quiesce();
+            } else if TARGETS.contains(&me) {
+                am.alloc(STORES as u32 * LEN);
+                if me == CRASHED {
+                    am.crash_restart(sp_sim::Dur::us(200.0));
+                }
+                am.poll_until(|s| s.0.iter().all(|&c| c > 0));
+                am.quiesce();
+                // Serve the sender's last acks before exiting.
+                am.drain_quiet(sp_sim::Dur::ms(1.0));
+                seen2.lock().push((me, am.state().0));
+            } else {
+                am.quiesce();
+            }
+            *quiesced2.lock() += 1;
+        },
+    );
+    let report = m.run().unwrap();
+    assert_eq!(*quiesced.lock(), 130, "every node's quiesce returns");
+    let mut seen = seen.lock().clone();
+    seen.sort();
+    assert_eq!(
+        seen,
+        TARGETS.map(|t| (t, [1; STORES])),
+        "every store lands exactly once"
+    );
+    assert_eq!(report.am_stats[CRASHED].restarts, 1);
+    assert!(
+        report.am_stats[0].packets_retransmitted > 0,
+        "the crashed peer's stores can only land by replay"
+    );
+}

@@ -615,10 +615,13 @@ fn spawn_splitc(
         m.spawn(format!("sc{node}"), SplitcSt::default(), move |am| {
             {
                 let mut gas = AmGas::new(am);
-                gas.barrier();
                 // SPMD symmetric heap: every node allocates in the same
-                // order, so `cell` has the same address machine-wide.
+                // order, so `cell` has the same address machine-wide. The
+                // allocation precedes the barrier: the poll that delivers
+                // the barrier's release can also deliver the peer's first
+                // put, which must find `cell` already allocated.
                 let cell = gas.alloc(4);
+                gas.barrier();
                 let peer = node ^ 1;
                 let mut pause_next = 0;
                 for i in 0..msgs {

@@ -1246,13 +1246,9 @@ mod tests {
 
     #[test]
     fn node_panic_is_reported() {
-        // Silence the default panic hook for this intentional panic.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         let mut sim = Sim::new((), 0);
         sim.spawn("bad", |_ctx| panic!("boom"));
         let out = sim.run();
-        std::panic::set_hook(prev);
         match out {
             Err(SimError::NodePanicked { node, message }) => {
                 assert_eq!(node, "bad");

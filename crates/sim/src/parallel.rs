@@ -1290,8 +1290,6 @@ mod tests {
 
     #[test]
     fn parallel_node_panic_is_reported() {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         let mut sim = Sim::new((), 0);
         sim.spawn("bad", |ctx| {
             ctx.advance(Dur::ns(1));
@@ -1303,7 +1301,6 @@ mod tests {
             }
         });
         let out = sim.run_parallel(2);
-        std::panic::set_hook(prev);
         match out {
             Err(SimError::NodePanicked { node, message }) => {
                 assert_eq!(node, "bad");
@@ -1643,8 +1640,6 @@ mod tests {
     /// that is still spinning).
     #[test]
     fn parallel_node_panic_reaches_a_parked_peer() {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         let mut sim = Sim::new((), 0);
         sim.spawn("slow-bad", |ctx| {
             ctx.advance(Dur::ns(1));
@@ -1653,7 +1648,6 @@ mod tests {
         });
         sim.spawn("done-early", |ctx| ctx.advance(Dur::ns(1)));
         let out = sim.run_parallel(2);
-        std::panic::set_hook(prev);
         match out {
             Err(SimError::NodePanicked { node, message }) => {
                 assert_eq!(node, "slow-bad");
@@ -1676,8 +1670,6 @@ mod tests {
                 self.0.fetch_add(1, Ordering::SeqCst);
             }
         }
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         let unwound = Arc::new(AtomicUsize::new(0));
         let mut sim = Sim::new((), 0);
         let u = unwound.clone();
@@ -1700,7 +1692,6 @@ mod tests {
             panic!("boom");
         });
         let out = within_deadline("one-shard teardown", move || sim.run());
-        std::panic::set_hook(prev);
         match out.unwrap_or_else(|e| panic!("{e}")) {
             Err(SimError::NodePanicked { node, message }) => {
                 assert_eq!(node, "bad");

@@ -262,8 +262,6 @@ fn advance_then_trips_the_budget_at_the_same_instant() {
 /// even when another node's thread is driving the shard when it runs.
 #[test]
 fn panicking_step_names_the_issuing_node() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
     let outcomes: Vec<_> = [1, 2]
         .into_iter()
         .map(|shards| {
@@ -289,7 +287,6 @@ fn panicking_step_names_the_issuing_node() {
             out.map(|r| r.end_time)
         })
         .collect();
-    std::panic::set_hook(prev);
     for (shards, out) in [1, 2].into_iter().zip(outcomes) {
         match out {
             Err(SimError::NodePanicked { node, message }) => {
