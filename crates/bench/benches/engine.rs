@@ -1,13 +1,14 @@
 //! Wall-clock throughput benches of the DES engine itself, used to track
-//! the engine fast path (zero-handoff `advance`, allocation-free hot
-//! events). Run with `cargo bench --bench engine`; the repo records
-//! baseline and current numbers in `BENCH_engine.json`.
+//! its hot paths (self-driving yields, allocation-free hot events). Run
+//! with `cargo bench --bench engine`; the repo records baseline and
+//! current numbers in `BENCH_engine.json`.
 //!
 //! Workloads:
 //! * **empty-poll** — the dominant pattern of every AM program: nodes spin
-//!   on an empty receive FIFO, charging the poll cost each time. Before the
-//!   fast path this paid two context switches per poll.
-//! * **advance** — pure virtual-time charging on a single node.
+//!   on an empty receive FIFO, charging the poll cost each time. Each poll
+//!   yields, and a node whose own wake comes up next resumes in place.
+//! * **advance** — pure virtual-time charging on a single node: every
+//!   advance resumes in place, with no handoff.
 //! * **ping-pong-storm** — park/unpark rendezvous pairs; this is the slow
 //!   path (real handoffs) and must not regress.
 //! * **event-chain** — engine-side events rescheduling themselves.
@@ -66,8 +67,8 @@ fn advance(c: &mut Criterion) {
     g.finish();
 }
 
-/// 4 independent park/unpark pairs, 250 rounds each: genuine handoffs that
-/// the fast path cannot elide.
+/// 4 independent park/unpark pairs, 250 rounds each: genuine handoffs
+/// between node threads.
 fn ping_pong_storm(c: &mut Criterion) {
     const PAIRS: usize = 4;
     const ROUNDS: u64 = 250;

@@ -1,8 +1,7 @@
 //! Regenerates Table 6: NAS kernels on 16 thin nodes, MPI-F vs MPI-AM,
 //! then sweeps the problem classes (reduced / S / W) on MPI-AM to exercise
-//! the fast-pathed engine on the scaled-up grids, reporting virtual time
-//! and per-run engine throughput. `SP_BENCH_QUICK=1` keeps only the
-//! reduced class.
+//! the engine on the scaled-up grids, reporting virtual time and per-run
+//! engine throughput. `SP_BENCH_QUICK=1` keeps only the reduced class.
 
 fn main() {
     let mut tally = sp_bench::Tally::default();

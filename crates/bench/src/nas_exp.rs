@@ -1,5 +1,5 @@
 //! Table 6: NAS kernels on 16 thin nodes, MPI-F vs MPI-AM — plus the
-//! scaled-up class sweep that exercises the fast-pathed engine on
+//! scaled-up class sweep that exercises the engine at scale on
 //! S/W-sized grids (ROADMAP: "scale the NAS grids back up").
 
 use crate::Tally;

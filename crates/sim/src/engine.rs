@@ -193,7 +193,6 @@ pub(crate) enum NState {
     Running,
     Sleeping,
     Parked,
-    SleepInt,
     Done,
 }
 
@@ -253,15 +252,14 @@ pub(crate) struct Inner<W: Send + 'static> {
     pub(crate) now: Time,
     pub(crate) sched: Sched<W>,
     pub(crate) nodes: Vec<NodeMeta>,
-    /// Events executed so far — engine-loop pops *and* fast-path advances
-    /// (each fast advance stands in for exactly one elided Wake event).
+    /// Serial-comparable events executed so far (wakes and calls).
     pub(crate) events: u64,
     /// Synchronization events executed (inter-shard message deliveries).
     /// Kept out of `events` so one-shard and sharded runs of the same
     /// config report identical `events`.
     pub(crate) sync_events: u64,
-    /// Serial-comparable events (wakes, calls, fast-path advances) this
-    /// shard may still execute, so a zero-cost spin loop still trips
+    /// Serial-comparable events (wakes and calls) this shard may still
+    /// execute, so a zero-cost spin loop still trips
     /// [`SimError::EventBudgetExhausted`](crate::SimError::EventBudgetExhausted)
     /// instead of livelocking. A one-shard run starts it at the budget; a
     /// sharded run's barrier resets it each window to what the whole run
@@ -269,9 +267,8 @@ pub(crate) struct Inner<W: Send + 'static> {
     /// that remainder. Never charged for `sync_events`, which are pure
     /// parallel overhead.
     pub(crate) budget_left: u64,
-    /// Conservative-advance horizon: node fast paths may not move virtual
-    /// time to or past it, and the drive loop only pops events strictly
-    /// before it. `Time::MAX` in a one-shard run (no constraint).
+    /// Conservative-advance horizon: the drive loop only pops events
+    /// strictly before it. `Time::MAX` in a one-shard run (no constraint).
     pub(crate) horizon: Time,
     /// Present iff this `Inner` is one shard of a run with two or more.
     pub(crate) shard: Option<ShardSlot>,
@@ -280,56 +277,19 @@ pub(crate) struct Inner<W: Send + 'static> {
     /// [`NodeCtx::advance_then`]).
     pub(crate) steps: Vec<Option<Step<W>>>,
     /// Trace recorder; `None` (the default) keeps every hook down to a
-    /// single branch so the fast path stays allocation-free.
+    /// single branch, so an untraced run records nothing.
     pub(crate) tracer: Option<Tracer>,
 }
 
 impl<W: Send + 'static> Inner<W> {
-    /// Zero-handoff advance: move running node `id`'s clock (which the
-    /// shard clock tracks while the node runs) to `until` without yielding
-    /// the baton, provided nothing else could possibly run first.
-    ///
-    /// While a node program runs it holds its shard's baton, so no other
-    /// thread drives the shard and its lock is uncontended: the check is
-    /// one lock acquire instead of a trip through the drive loop. The fast
-    /// path applies only when (a) no pending event falls at or before
-    /// `until` (strictly: same-time events were pushed with smaller
-    /// sequence numbers and must run before a Wake would), (b) `until` is
-    /// below the window horizon, and (c) the shard's budget quota is not
-    /// spent — each fast advance replaces exactly one Wake event and is
-    /// charged against the quota. A latched unpark signal does not matter:
-    /// nothing the advance does reads or consumes it.
-    fn fast_advance(&mut self, id: NodeId, until: Time) -> bool {
-        if until >= self.horizon
-            || self.sched.queue.peek().is_some_and(|ev| ev.time <= until)
-            || self.budget_left == 0
-        {
-            return false;
-        }
-        self.budget_left -= 1;
-        self.events += 1;
-        debug_assert!(until >= self.now, "fast advance went backwards");
-        if let Some(t) = &self.tracer {
-            t.span(
-                self.now.as_ns(),
-                until.as_ns(),
-                Track::program(id.0),
-                TraceKind::NodeAdvance,
-                1,
-            );
-        }
-        self.now = until;
-        true
-    }
-
-    /// Put running node `id` to sleep until `until`: the slow path of an
-    /// advance, resumed by a `Timeout` wake.
+    /// Put running node `id` to sleep until `until`, resumed by a
+    /// `Timeout` wake.
     fn sleep(&mut self, id: NodeId, until: Time) {
         let epoch = self.nodes[id.0].epoch;
         self.nodes[id.0].state = NState::Sleeping;
         if let Some(t) = &self.tracer {
             // While a node runs, `now` tracks its local clock, so the
-            // slow-path advance spans `[now, until)`.
+            // advance spans `[now, until)`.
             t.span(
                 self.now.as_ns(),
                 until.as_ns(),
@@ -350,20 +310,15 @@ impl<W: Send + 'static> Inner<W> {
     }
 
     /// Charge running node `id` `d` of virtual time: a zero cost charges
-    /// nothing and never yields; otherwise the fast path if it applies,
-    /// else the node sleeps. Returns the node's resume time when it keeps
-    /// running, `None` when it went to sleep.
+    /// nothing and never yields; otherwise the node sleeps. Returns the
+    /// node's resume time when it keeps running, `None` when it went to
+    /// sleep.
     pub(crate) fn charge(&mut self, id: NodeId, d: Dur) -> Option<Time> {
         if d == Dur::ZERO {
             return Some(self.now);
         }
-        let until = self.now + d;
-        if self.fast_advance(id, until) {
-            Some(until)
-        } else {
-            self.sleep(id, until);
-            None
-        }
+        self.sleep(id, self.now + d);
+        None
     }
 }
 
@@ -398,7 +353,7 @@ pub(crate) fn unpark_inner<W: Send + 'static>(
     }
     let meta = &mut nodes[target.0];
     match meta.state {
-        NState::Parked | NState::SleepInt => {
+        NState::Parked => {
             if meta.unpark_queued {
                 // A wake for this epoch is already in flight; pushing another
                 // would only produce a stale event. Coalesce instead.
@@ -444,32 +399,14 @@ impl<W: Send + 'static> Shared<W> {
         f(&mut self.inner.lock().world)
     }
 
-    /// Zero-handoff advance for [`NodeCtx::park_timeout`]: move node `id`'s
-    /// clock to `until` without yielding, if [`Inner::fast_advance`] allows.
-    pub(crate) fn try_fast_advance(&self, id: NodeId, until: Time) -> bool {
-        self.inner.lock().fast_advance(id, until)
-    }
-
-    /// Move node `id`'s clock to `until`, then run `then` (if any) and
-    /// charge what it returns, as [`NodeCtx::world_then_advance`] would.
-    /// Returns the node's resume time when it keeps running, `None` when
-    /// it went to sleep and must yield: the advance itself could not take
-    /// the fast path (then `then` is parked in the node's step slot for
-    /// the driver that pops its wake), or the step's charge could not.
-    pub(crate) fn advance(&self, id: NodeId, until: Time, then: Option<Step<W>>) -> Option<Time> {
+    /// Put node `id` to sleep until `until`, parking `then` (if any) in
+    /// its step slot for the driver that pops its wake: that driver runs
+    /// the step and charges what it returns, as
+    /// [`NodeCtx::world_then_advance`] would. The node must yield.
+    pub(crate) fn advance(&self, id: NodeId, until: Time, then: Option<Step<W>>) {
         let inner = &mut *self.inner.lock();
-        if !inner.fast_advance(id, until) {
-            inner.sleep(id, until);
-            inner.steps[id.0] = then;
-            return None;
-        }
-        match then {
-            None => Some(until),
-            Some((step, a, b)) => {
-                let d = step(&mut inner.world, a, b);
-                inner.charge(id, d)
-            }
-        }
+        inner.sleep(id, until);
+        inner.steps[id.0] = then;
     }
 
     /// Run a world closure and charge the duration it returns, all under a
@@ -497,33 +434,17 @@ impl<W: Send + 'static> Shared<W> {
         sig
     }
 
-    pub(crate) fn note_park(&self, id: NodeId, timeout: Option<Time>) {
+    pub(crate) fn note_park(&self, id: NodeId) {
         let mut inner = self.inner.lock();
-        let epoch = inner.nodes[id.0].epoch;
         if let Some(t) = &inner.tracer {
             t.instant(
                 inner.now.as_ns(),
                 Track::program(id.0),
                 TraceKind::NodePark,
-                timeout.is_some() as u64,
+                0,
             );
         }
-        match timeout {
-            None => inner.nodes[id.0].state = NState::Parked,
-            Some(until) => {
-                inner.nodes[id.0].state = NState::SleepInt;
-                let gen = inner.now;
-                inner.sched.push(
-                    until,
-                    Tie::unranked(gen),
-                    EvKind::Wake {
-                        node: id,
-                        epoch,
-                        reason: WakeReason::Timeout,
-                    },
-                );
-            }
-        }
+        inner.nodes[id.0].state = NState::Parked;
     }
 
     pub(crate) fn unpark(&self, target: NodeId, now: Time) {
@@ -626,12 +547,6 @@ impl<'a, W: Send + 'static> EventCtx<'a, W> {
         self.push_call(self.now + after, Tie::UNRANKED, f);
     }
 
-    /// Schedule a follow-up event at absolute time `at` (clamped to now).
-    pub fn schedule_at(&mut self, at: Time, f: impl FnOnce(&mut EventCtx<'_, W>) + Send + 'static) {
-        let at = at.max(self.now);
-        self.push_call(at, Tie::UNRANKED, f);
-    }
-
     /// Schedule an allocation-free event `after` from now: a plain `fn`
     /// pointer called with two integer arguments. Recurring hardware events
     /// (firmware steps, packet delivery) use this instead of
@@ -705,8 +620,7 @@ impl<'a, W: Send + 'static> EventCtx<'a, W> {
 /// lose a wake the serial run delivers and deadlock the target.
 pub(crate) fn replay_unpark<W: Send + 'static>(e: &mut EventCtx<'_, W>, target: NodeId) {
     let meta = &e.nodes[target.0];
-    let wake_in_flight =
-        matches!(meta.state, NState::Parked | NState::SleepInt) && meta.unpark_queued;
+    let wake_in_flight = meta.state == NState::Parked && meta.unpark_queued;
     if wake_in_flight {
         e.sched.push(
             e.now,
@@ -815,8 +729,7 @@ pub struct ShardReport {
     pub shard: usize,
     /// Node programs owned by this shard.
     pub nodes: usize,
-    /// Serial-comparable events this shard executed (wakes + calls +
-    /// fast-path advances).
+    /// Serial-comparable events this shard executed (wakes + calls).
     pub events: u64,
     /// Synchronization events this shard executed (inter-shard message
     /// deliveries) — pure parallel-mode overhead.
@@ -932,7 +845,7 @@ pub struct SimReport<W> {
     pub world: W,
     /// Virtual time of the last executed event.
     pub end_time: Time,
-    /// Number of events executed (wakes + calls + fast-path advances).
+    /// Number of events executed (wakes + calls).
     pub events: u64,
     /// Unparks absorbed into an already-queued wake instead of producing a
     /// duplicate (stale) event, summed over all nodes.
@@ -1035,6 +948,7 @@ impl<W: Send + 'static> Sim<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::within_deadline;
     use crate::SimError;
 
     #[test]
@@ -1112,53 +1026,10 @@ mod tests {
     }
 
     #[test]
-    fn park_timeout_fires_without_unpark() {
-        let mut sim = Sim::new((), 0);
-        sim.spawn("t", |ctx| {
-            let reason = ctx.park_timeout(Dur::us(3.0));
-            assert_eq!(reason, WakeReason::Timeout);
-            assert_eq!(ctx.now().as_us(), 3.0);
-        });
-        sim.run().unwrap();
-    }
-
-    #[test]
-    fn park_timeout_fast_path_observable_in_trace() {
-        // A timed park whose deadline precedes every queued event cannot be
-        // unparked, so it takes the one-lock fast path (NodeAdvance span
-        // with arg=1, no NodePark); one with an event inside the window
-        // falls back to the real park.
-        let tracer = Tracer::new(1, 1024);
-        let mut sim = Sim::new((), 0);
-        sim.set_tracer(tracer.clone());
-        sim.spawn("t", |ctx| {
-            assert_eq!(ctx.park_timeout(Dur::us(3.0)), WakeReason::Timeout);
-            ctx.schedule(Dur::us(1.0), |_e| {});
-            assert_eq!(ctx.park_timeout(Dur::us(3.0)), WakeReason::Timeout);
-            assert_eq!(ctx.now().as_us(), 6.0);
-        });
-        sim.run().unwrap();
-        let recs = tracer.snapshot();
-        let fast: Vec<_> = recs
-            .iter()
-            .filter(|r| r.kind == TraceKind::NodeAdvance && r.arg == 1)
-            .collect();
-        assert_eq!(fast.len(), 1, "first park_timeout fast-paths: {fast:?}");
-        assert_eq!((fast[0].at, fast[0].dur), (0, 3_000));
-        let parks: Vec<_> = recs
-            .iter()
-            .filter(|r| r.kind == TraceKind::NodePark)
-            .collect();
-        assert_eq!(parks.len(), 1, "second park_timeout really parks");
-        assert_eq!(parks[0].at, 3_000);
-    }
-
-    #[test]
     fn advance_fast_path_ignores_a_latched_unpark() {
-        // An event unparks the node while it sleeps through a slow-path
-        // advance, latching the signal. The next advance cannot be
-        // interrupted, so it still takes the fast path (NodeAdvance span
-        // with arg=1), and the signal waits for the next park.
+        // An event unparks the node while it sleeps through an advance,
+        // latching the signal. The next advance cannot be interrupted, so
+        // it runs its whole span, and the signal waits for the next park.
         let tracer = Tracer::new(1, 1024);
         let mut sim = Sim::new((), 0);
         sim.set_tracer(tracer.clone());
@@ -1167,7 +1038,8 @@ mod tests {
             ctx.schedule(Dur::us(1.0), move |e| e.unpark(me));
             ctx.advance(Dur::us(2.0));
             ctx.advance(Dur::us(3.0));
-            assert_eq!(ctx.park_timeout(Dur::us(10.0)), WakeReason::Unparked);
+            assert_eq!(ctx.now().as_us(), 5.0);
+            assert_eq!(ctx.park(), WakeReason::Unparked);
             assert_eq!(ctx.now().as_us(), 5.0, "the latched signal survives");
         });
         sim.run().unwrap();
@@ -1175,31 +1047,9 @@ mod tests {
             .snapshot()
             .into_iter()
             .filter(|r| r.kind == TraceKind::NodeAdvance)
-            .map(|r| (r.at, r.dur, r.arg))
+            .map(|r| (r.at, r.dur))
             .collect();
-        assert_eq!(adv, vec![(0, 2_000, 0), (2_000, 3_000, 1)]);
-    }
-
-    #[test]
-    fn park_timeout_fast_path_matches_advance_accounting() {
-        // An un-unparkable timed park is semantically a timed advance; the
-        // fast path must keep the two identical in both virtual time and
-        // event count (each fast advance stands in for one elided Wake).
-        fn run(use_park: bool) -> (Time, u64) {
-            let mut sim = Sim::new((), 0);
-            sim.spawn("t", move |ctx| {
-                for _ in 0..10 {
-                    if use_park {
-                        assert_eq!(ctx.park_timeout(Dur::us(3.0)), WakeReason::Timeout);
-                    } else {
-                        ctx.advance(Dur::us(3.0));
-                    }
-                }
-            });
-            let r = sim.run().unwrap();
-            (r.end_time, r.events)
-        }
-        assert_eq!(run(true), run(false));
+        assert_eq!(adv, vec![(0, 2_000), (2_000, 3_000)]);
     }
 
     #[test]
@@ -1208,7 +1058,7 @@ mod tests {
         let sleeper = NodeId(0);
         sim.spawn("sleeper", |ctx| {
             ctx.advance(Dur::us(10.0)); // unpark arrives at t=2 while asleep
-            let reason = ctx.park_timeout(Dur::us(50.0));
+            let reason = ctx.park();
             assert_eq!(reason, WakeReason::Unparked, "latched signal must win");
             assert_eq!(ctx.now().as_us(), 10.0, "no time may pass");
         });
@@ -1225,7 +1075,7 @@ mod tests {
         sim.spawn("stuck", |ctx| {
             ctx.park();
         });
-        match sim.run() {
+        match within_deadline("deadlocked run", move || sim.run()) {
             Err(SimError::Deadlock { parked, .. }) => assert_eq!(parked, vec!["stuck".to_string()]),
             other => panic!("expected deadlock, got {other:?}"),
         }
@@ -1238,7 +1088,7 @@ mod tests {
         sim.spawn("spinner", |ctx| loop {
             ctx.advance(Dur::ZERO);
         });
-        match sim.run() {
+        match within_deadline("livelocked run", move || sim.run()) {
             Err(SimError::EventBudgetExhausted { budget, .. }) => assert_eq!(budget, 1000),
             other => panic!("expected budget exhaustion, got {other:?}"),
         }
@@ -1364,20 +1214,20 @@ mod tests {
     }
 
     #[test]
-    fn fast_advance_matches_slow_path_timing() {
-        // A node advancing across a pending event must still let the event
-        // run mid-span (slow path), while spans with no pending events take
-        // the fast path — and both must produce identical virtual times.
+    fn advance_timing_with_and_without_events_in_the_span() {
+        // A node advancing across a pending event lets the event run
+        // mid-span, and spans with no pending event resume the node at
+        // their end: either way the virtual times add up exactly.
         let mut sim = Sim::new(Vec::<(u64, &'static str)>::new(), 0);
         sim.spawn("n", |ctx| {
             for _ in 0..100 {
-                ctx.advance(Dur::ns(10)); // fast path: queue empty
+                ctx.advance(Dur::ns(10)); // queue empty
             }
             ctx.schedule(Dur::ns(50), |e| {
                 let t = e.now().as_ns();
                 e.world().push((t, "event"));
             });
-            ctx.advance(Dur::ns(100)); // slow path: event inside span
+            ctx.advance(Dur::ns(100)); // event inside the span
             let t = ctx.now().as_ns();
             ctx.world(move |w| w.push((t, "node")));
         });
@@ -1438,14 +1288,15 @@ mod tests {
     }
 
     #[test]
-    fn fast_advance_respects_event_budget() {
-        // Fast-path advances must count against the budget too.
+    fn advance_counts_against_event_budget() {
+        // A lone node's advances, with nothing else pending, must count
+        // against the budget too.
         let mut sim = Sim::new((), 0);
         sim.set_event_budget(500);
         sim.spawn("spinner", |ctx| loop {
-            ctx.advance(Dur::ns(1)); // all fast-path: nothing else pending
+            ctx.advance(Dur::ns(1));
         });
-        match sim.run() {
+        match within_deadline("spinning run", move || sim.run()) {
             Err(SimError::EventBudgetExhausted { budget, .. }) => assert_eq!(budget, 500),
             other => panic!("expected budget exhaustion, got {other:?}"),
         }
@@ -1469,15 +1320,18 @@ mod tests {
         let mut sim = Sim::new(0u32, 0);
         let n = NodeId(0);
         sim.spawn("target", |ctx| {
-            // First park absorbs both unparks sent at t=1; second park would
-            // deadlock, so use a timeout to observe the coalescing.
+            // The first park absorbs both unparks sent at t=1, so the second
+            // park lasts until the late unpark at t=10.
             assert_eq!(ctx.park(), WakeReason::Unparked);
-            assert_eq!(ctx.park_timeout(Dur::us(10.0)), WakeReason::Timeout);
+            assert_eq!(ctx.park(), WakeReason::Unparked);
+            assert_eq!(ctx.now().as_us(), 10.0, "no second wake at t=1");
             ctx.world(|w| *w += 1);
         });
         sim.spawn("dbl", move |ctx| {
             ctx.advance(Dur::us(1.0));
             ctx.unpark(n);
+            ctx.unpark(n);
+            ctx.advance(Dur::us(9.0));
             ctx.unpark(n);
         });
         let report = sim.run().unwrap();
@@ -1489,12 +1343,13 @@ mod tests {
     fn unpark_storm_coalesces_to_one_wake() {
         // Five unparks at the same instant to a parked node: one Wake event
         // is queued, four are absorbed, and the node still observes exactly
-        // one wakeup (the park/park_timeout semantics are unchanged).
+        // one wakeup there (its next park lasts until the late unpark).
         let mut sim = Sim::new(0u32, 0);
         let n = NodeId(0);
         sim.spawn("target", |ctx| {
             assert_eq!(ctx.park(), WakeReason::Unparked);
-            assert_eq!(ctx.park_timeout(Dur::us(10.0)), WakeReason::Timeout);
+            assert_eq!(ctx.park(), WakeReason::Unparked);
+            assert_eq!(ctx.now().as_us(), 10.0, "no second wake at t=1");
             ctx.world(|w| *w += 1);
         });
         sim.spawn("storm", move |ctx| {
@@ -1502,6 +1357,8 @@ mod tests {
             for _ in 0..5 {
                 ctx.unpark(n);
             }
+            ctx.advance(Dur::us(9.0));
+            ctx.unpark(n);
         });
         let report = sim.run().unwrap();
         assert_eq!(report.world, 1);

@@ -49,6 +49,8 @@ mod engine;
 mod error;
 mod node;
 mod parallel;
+#[cfg(test)]
+mod test_util;
 mod time;
 
 pub use engine::{EventCtx, HotFn, NodeId, ShardProfile, ShardReport, Sim, SimReport, StepFn, Tie};

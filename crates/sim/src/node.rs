@@ -9,10 +9,13 @@
 //! blocks on its own. A node may park a world step with its wake
 //! ([`NodeCtx::advance_then`]), which the driver runs before it grants. A
 //! baton is a tiny state machine in a mutex, with a condvar the node
-//! thread waits on. Every wake follows the unlock: the vendored condvar
-//! has no wait morphing, so a node notified while the granter still held
-//! the mutex would wake only to block on it, and one handoff would enter
-//! the kernel twice.
+//! thread waits on. A node holds `Run` in its slot from its grant until it
+//! hands off: the driver releases its own baton only just before it
+//! grants another node's (or when the run ends), so a yield whose own
+//! wake comes up first takes no baton lock at all. Every wake follows the
+//! unlock: the vendored condvar has no wait morphing, so a node notified
+//! while the granter still held the mutex would wake only to block on it,
+//! and one handoff would enter the kernel twice.
 
 use crate::engine::{EvKind, NodeId, Shared, Step, StepFn, Tie};
 use crate::parallel::Core;
@@ -25,8 +28,8 @@ use std::sync::Arc;
 /// Why a blocked node program resumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WakeReason {
-    /// The requested virtual-time span elapsed (for [`NodeCtx::advance`] and
-    /// the timeout arm of [`NodeCtx::park_timeout`]).
+    /// The requested virtual-time span elapsed (for [`NodeCtx::advance`]),
+    /// or the node's program started.
     Timeout,
     /// Another node or a scheduled event called `unpark` on this node.
     Unparked,
@@ -83,14 +86,22 @@ impl Baton {
         self.cv.notify_one();
     }
 
-    /// Give the baton back before driving the shard. Only replaces a
-    /// `Run`; a concurrent teardown `Exit` is preserved so the thread still
-    /// unwinds at its next wait.
+    /// Give the baton back: the driver calls it on its own baton just
+    /// before it grants another's, or when the run ends before it waits.
+    /// Only replaces a `Run`; a concurrent teardown `Exit` is preserved so
+    /// the thread still unwinds at its next wait.
     pub(crate) fn release(&self) {
         let mut slot = self.slot.lock();
         if matches!(*slot, Slot::Run { .. }) {
             *slot = Slot::Idle;
         }
+    }
+
+    /// Whether the node still holds its grant (`Run`), or teardown already
+    /// told it to exit (`Exit`): a node that yields keeps one of the two
+    /// until it hands off.
+    pub(crate) fn held(&self) -> bool {
+        !matches!(*self.slot.lock(), Slot::Idle)
     }
 
     /// Node side: block until granted `Run`; unwind on `Exit`.
@@ -119,12 +130,11 @@ pub(crate) enum Drive {
     /// The driving node's own wake came up while it was driving: it resumes
     /// running directly, with zero baton hand-offs.
     SelfRun(Time, WakeReason),
-    /// The baton was granted to some other node (or the shard went idle at a
-    /// window barrier and another thread now drives); the caller must wait
-    /// for its own next `Run` grant.
+    /// The driver released its own baton and granted some other node's;
+    /// the caller must wait for its own next `Run` grant.
     Handed,
-    /// The run is over (finished or failed); the caller must wait on its
-    /// baton for the teardown `Exit`.
+    /// The run is over (finished or failed); the caller must release its
+    /// baton and wait on it for the teardown `Exit`.
     Shutdown,
 }
 
@@ -166,15 +176,20 @@ impl<W: Send + 'static> NodeCtx<W> {
         }
     }
 
-    /// Yield: release the baton and *become* the shard's driver. If this
-    /// node's own wake surfaces while driving, it resumes with zero context
-    /// switches; otherwise it granted another node and waits for its turn.
+    /// Yield: *become* the shard's driver, still holding the baton. If
+    /// this node's own wake surfaces while driving, it resumes with zero
+    /// context switches; otherwise the driver released its baton, granted
+    /// another node's, and this node waits for its turn.
     fn yield_and_drive(&mut self) -> (Time, WakeReason) {
         let baton = &self.core.batons[self.id.0];
-        baton.release();
         match self.core.drive(self.shard, Some(self.id)) {
             Drive::SelfRun(t, reason) => (t, reason),
-            Drive::Handed | Drive::Shutdown => baton.wait_for_run(),
+            Drive::Handed => baton.wait_for_run(),
+            Drive::Shutdown => {
+                // Without the release the wait would return the held `Run`.
+                baton.release();
+                baton.wait_for_run()
+            }
         }
     }
 
@@ -205,14 +220,9 @@ impl<W: Send + 'static> NodeCtx<W> {
     /// Charge `d` of virtual time to this node (e.g. CPU work, an I/O-bus
     /// access, a cache flush). Scheduled events whose time falls within the
     /// span execute while this node "computes"; unparks arriving meanwhile
-    /// are latched and delivered by the next `park`/`park_timeout`.
-    ///
-    /// When nothing else could run inside the span — no pending event at or
-    /// before `now + d` — the clock moves under a single uncontended lock
-    /// acquire without driving the shard at all (see `Inner::fast_advance`);
-    /// virtual-time behavior is identical either way. A latched unpark does
-    /// not stop the fast path: the advance cannot be interrupted, so the
-    /// signal waits for the next park either way.
+    /// are latched and delivered by the next [`NodeCtx::park`]. The node
+    /// yields even for a zero `d`, so events due now run first, and each
+    /// advance counts one event against the budget.
     pub fn advance(&mut self, d: Dur) {
         self.advance_with(d, None);
     }
@@ -220,36 +230,32 @@ impl<W: Send + 'static> NodeCtx<W> {
     /// [`NodeCtx::advance`]`(d)` followed by
     /// [`NodeCtx::world_then_advance`]`(|w| ((), step(w, a, b)))`, with the
     /// same virtual-time behavior, event count and trace, but cheaper on the
-    /// host: when the advance has to yield, the node parks the step with
-    /// its wake, and the driver that pops the wake runs the step and charges
-    /// its cost itself. The node thread is then resumed once — after the
-    /// step's charge — instead of once for the advance and once more if the
-    /// step's charge yields. The step sees exactly the state the resumed
-    /// node would have seen: one thread per shard runs at a time, and the
-    /// driver runs the step before anything else. `step` is a plain `fn`
-    /// (like [`HotFn`](crate::HotFn)), so nothing is allocated; a result
-    /// larger than the returned cost travels through the world. A panic in
-    /// the step fails the run as this node's panic.
+    /// host: the node parks the step with its wake, and the driver that
+    /// pops the wake runs the step and charges its cost itself. The node
+    /// thread is then resumed once — after the step's charge — instead of
+    /// once for the advance and once more if the step's charge yields. The
+    /// step sees exactly the state the resumed node would have seen: one
+    /// thread per shard runs at a time, and the driver runs the step before
+    /// anything else. `step` is a plain `fn` (like [`HotFn`](crate::HotFn)),
+    /// so nothing is allocated; a result larger than the returned cost
+    /// travels through the world. A panic in the step fails the run as this
+    /// node's panic.
     pub fn advance_then(&mut self, d: Dur, step: StepFn<W>, a: u64, b: u64) {
         self.advance_with(d, Some((step, a, b)));
     }
 
     fn advance_with(&mut self, d: Dur, then: Option<Step<W>>) {
-        let until = self.now + d;
-        self.now = match self.shared.advance(self.id, until, then) {
-            Some(t) => t,
-            None => self.yield_and_drive().0,
-        };
+        self.shared.advance(self.id, self.now + d, then);
+        self.now = self.yield_and_drive().0;
     }
 
     /// Access the world and charge virtual time in one combined operation:
     /// `f` returns `(result, cost)` and the cost is charged as by
     /// [`NodeCtx::advance`], all under a single lock acquire. A zero cost
     /// charges nothing and never yields (use it for error arms that abort
-    /// before touching the hardware). When the cost has to yield, the node
-    /// sleeps like a slow-path [`NodeCtx::advance`]; to fold an advance
-    /// *before* the world access into the same yield, see
-    /// [`NodeCtx::advance_then`].
+    /// before touching the hardware). A non-zero cost sleeps like
+    /// [`NodeCtx::advance`]; to fold an advance *before* the world access
+    /// into the same yield, see [`NodeCtx::advance_then`].
     pub fn world_then_advance<R>(&mut self, f: impl FnOnce(&mut W) -> (R, Dur)) -> R {
         let (r, resumed) = self.shared.world_charge(self.id, f);
         self.now = match resumed {
@@ -266,32 +272,7 @@ impl<W: Send + 'static> NodeCtx<W> {
         if self.shared.take_signal(self.id) {
             return WakeReason::Unparked;
         }
-        self.shared.note_park(self.id, None);
-        let (t, reason) = self.yield_and_drive();
-        self.now = t;
-        reason
-    }
-
-    /// Block until unparked, but at most for `d` of virtual time.
-    ///
-    /// When the deadline precedes every queued event and no signal is
-    /// latched, nothing can unpark this node before the timeout, so the
-    /// park degenerates to a timed advance and takes the same zero-handoff
-    /// fast path as [`NodeCtx::advance`]: one uncontended lock acquire, no
-    /// baton exchange, and the elided timeout `Wake` event is counted so
-    /// schedules stay byte-identical with the slow path.
-    pub fn park_timeout(&mut self, d: Dur) -> WakeReason {
-        if self.shared.take_signal(self.id) {
-            return WakeReason::Unparked;
-        }
-        let until = self.now + d;
-        // No other node runs while we hold the baton, so no signal can
-        // appear between the check above and the fast-path attempt.
-        if self.shared.try_fast_advance(self.id, until) {
-            self.now = until;
-            return WakeReason::Timeout;
-        }
-        self.shared.note_park(self.id, Some(until));
+        self.shared.note_park(self.id);
         let (t, reason) = self.yield_and_drive();
         self.now = t;
         reason
@@ -347,6 +328,7 @@ impl<W: Send + 'static> NodeCtx<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::within_deadline;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Whether `wait_for_run` unwinds with the teardown token. Call it only
@@ -382,8 +364,39 @@ mod tests {
         let baton = Baton::new();
         baton.grant(Time::ZERO, WakeReason::Timeout);
         baton.exit();
+        // A driver may still pop its own wake after `Exit`: it resumes in
+        // place, releases when its drive ends, and unwinds at the wait.
+        assert!(baton.held(), "a self-resume must still see a held baton");
         baton.release();
         assert!(is_exit(&baton), "release must not undo Exit");
         assert!(unwinds(&baton));
+    }
+
+    #[test]
+    fn a_held_grant_stays_until_released() {
+        // A yielding node keeps its `Run` until it hands off, so resuming in
+        // place takes no baton lock; a wait before the release returns the
+        // stale grant.
+        let baton = Baton::new();
+        assert!(!baton.held());
+        baton.grant(Time(5), WakeReason::Unparked);
+        assert_eq!(baton.wait_for_run(), (Time(5), WakeReason::Unparked));
+        assert!(baton.held(), "the grant stays while the node runs");
+        assert_eq!(baton.wait_for_run(), (Time(5), WakeReason::Unparked));
+        baton.release();
+        assert!(!baton.held());
+    }
+
+    #[test]
+    fn exit_unwinds_a_node_waiting_after_its_release() {
+        // The usual teardown: the run ends, the driving node releases its
+        // baton and waits, and teardown's exit, landing before or after
+        // the wait begins, unwinds it.
+        let baton = Baton::new();
+        baton.grant(Time::ZERO, WakeReason::Timeout);
+        baton.release();
+        let b = baton.clone();
+        std::thread::spawn(move || b.exit());
+        assert!(within_deadline("released node", move || unwinds(&baton)));
     }
 }

@@ -5,14 +5,15 @@
 //! There is no engine thread. A run partitions its nodes into *shards*,
 //! each with a private event heap, local clock and world slice; [`Sim::run`]
 //! is the one-shard case. The node threads of a shard pass a *driving* role
-//! cooperatively: whenever a node yields (sleep/park), it releases its
-//! baton and becomes the shard's driver, popping events and granting
-//! batons until either its own wake surfaces — it resumes with zero context
-//! switches ([`Drive::SelfRun`]) — or it grants another node and waits for
-//! its own next grant (one switch). A wake may carry a world step the node
-//! parked with it ([`NodeCtx::advance_then`]): the driver runs the step
-//! and charges its cost before it grants the baton, so a node whose step
-//! puts it back to sleep is not resumed at all. This keeps the
+//! cooperatively: whenever a node yields (sleep/park), it becomes the
+//! shard's driver, popping events and granting batons until either its own
+//! wake surfaces — it resumes with zero context switches
+//! ([`Drive::SelfRun`]) — or it releases its own baton, grants another
+//! node's and waits for its own next grant (one switch). The release waits
+//! for the handoff, so a self-resume takes no baton lock. A wake may carry
+//! a world step the node parked with it ([`NodeCtx::advance_then`]): the
+//! driver runs the step and charges its cost before it grants the baton,
+//! so a node whose step puts it back to sleep is not resumed at all. This keeps the
 //! single-runner-per-shard discipline that makes world access
 //! data-race-free. A node whose program returns keeps driving until it
 //! hands the role on. A one-shard run has an unbounded horizon, so it ends
@@ -23,13 +24,12 @@
 //!
 //! [`Sim::run_parallel`] partitions nodes into `num_shards` shards by a
 //! block map (`owner[i] = i * num_shards / num_nodes`) and splits the world
-//! ([`Shardable::split`]); the zero-handoff fast advance remains the
-//! intra-shard hot path. Shards advance conservatively in *lookahead
+//! ([`Shardable::split`]). Shards advance conservatively in *lookahead
 //! windows*: with `M` the global minimum pending-event time and `L` the
 //! world's lookahead ([`Shardable::lookahead`] — for the SP world, the
 //! minimum latency any cross-node interaction must incur), every shard may
-//! freely execute events and fast-advance node clocks strictly below the
-//! horizon `M + L`. Anything a shard does inside the window can only affect
+//! freely execute events, node wakes included, strictly below the horizon
+//! `M + L`. Anything a shard does inside the window can only affect
 //! other shards at or after the horizon, so no shard can receive a message
 //! "from the past" — the classic null-message/conservative PDES argument,
 //! with the per-window barrier standing in for per-link null messages.
@@ -754,7 +754,7 @@ impl<W: Send + 'static> Core<W> {
                     let runnable = meta.epoch == epoch
                         && matches!(
                             meta.state,
-                            NState::Startup | NState::Sleeping | NState::Parked | NState::SleepInt
+                            NState::Startup | NState::Sleeping | NState::Parked
                         );
                     if !runnable {
                         continue; // stale wake (still counted)
@@ -799,8 +799,17 @@ impl<W: Send + 'static> Core<W> {
                     drop(inner);
                     if me == Some(node) {
                         // The driver's own wake: resume in place, zero
-                        // hand-offs.
+                        // hand-offs, still holding the baton.
+                        debug_assert!(
+                            self.batons[node.0].held(),
+                            "a self-resuming driver released its baton"
+                        );
                         return Drive::SelfRun(at, reason);
+                    }
+                    // Release the driver's own baton before the grant: the
+                    // granted node may drive next and grant it back.
+                    if let Some(me) = me {
+                        self.batons[me.0].release();
                     }
                     self.batons[node.0].grant(at, reason);
                     return Drive::Handed;
@@ -958,11 +967,12 @@ impl<W: Send + 'static> Sim<W> {
                         ctx.now = baton.wait_for_run().0;
                         program(&mut ctx);
                         ctx.shared.note_done(NodeId(i));
-                        baton.release();
                         // Stay on as the shard's driver: its queue may still
                         // hold events, and a drained shard must keep
                         // answering barriers (and executing any late
-                        // inbound messages) until the run ends.
+                        // inbound messages) until the run ends. No wake
+                        // grants a finished node's baton again, so it needs
+                        // no release.
                         core.drive(sid, None);
                     }));
                     let Err(payload) = out else { return };
@@ -1008,7 +1018,7 @@ impl<W: Send + 'static> Sim<W> {
             }
         }
         // Unwind every node thread still blocked on (or about to block on)
-        // its baton; running nodes observe `Exit` at their next yield
+        // its baton; running nodes observe `Exit` at their next wait
         // (release() preserves it).
         for baton in &core.batons {
             baton.exit();
@@ -1160,32 +1170,8 @@ impl<W: Shardable> Sim<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::within_deadline;
     use crate::{Dur, Sim, WakeReason};
-    use std::sync::mpsc::{self, RecvTimeoutError};
-
-    /// How long a run under [`within_deadline`] may take. Each takes
-    /// milliseconds; the margin covers a loaded machine with every test
-    /// thread pinned to one CPU.
-    const DEADLINE: Duration = Duration::from_secs(30);
-
-    /// Run `f` on a thread of its own and return what it returns, or an
-    /// error for the test to fail with if it has not returned within
-    /// [`DEADLINE`]. A teardown that misses a wake leaves its run waiting
-    /// forever; this turns that hang into a failure (the stuck thread is
-    /// left behind).
-    fn within_deadline<T: Send + 'static>(
-        what: &str,
-        f: impl FnOnce() -> T + Send + 'static,
-    ) -> Result<T, String> {
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let _ = tx.send(f());
-        });
-        rx.recv_timeout(DEADLINE).map_err(|e| match e {
-            RecvTimeoutError::Timeout => format!("{what} still running after {DEADLINE:?}"),
-            RecvTimeoutError::Disconnected => format!("{what} panicked"),
-        })
-    }
 
     /// Serial/parallel twin runs of an N-pair ping-pong storm (pure engine
     /// workload on the unit world: park/unpark within each pair).
@@ -1264,7 +1250,7 @@ mod tests {
             ctx.park();
         });
         sim.spawn("ok-b", |ctx| ctx.advance(Dur::ns(5)));
-        match sim.run_parallel(2) {
+        match within_deadline("sharded deadlocked run", move || sim.run_parallel(2)) {
             Err(SimError::Deadlock { parked, .. }) => {
                 assert_eq!(parked, vec!["stuck-a".to_string()])
             }
@@ -1282,7 +1268,7 @@ mod tests {
         sim.spawn("spin-b", |ctx| loop {
             ctx.advance(Dur::ns(1));
         });
-        match sim.run_parallel(2) {
+        match within_deadline("sharded spinning run", move || sim.run_parallel(2)) {
             Err(SimError::EventBudgetExhausted { budget, .. }) => assert_eq!(budget, 200),
             other => panic!("expected budget exhaustion, got {other:?}"),
         }
@@ -1300,8 +1286,7 @@ mod tests {
                 ctx.advance(Dur::ns(1));
             }
         });
-        let out = sim.run_parallel(2);
-        match out {
+        match within_deadline("sharded panicking run", move || sim.run_parallel(2)) {
             Err(SimError::NodePanicked { node, message }) => {
                 assert_eq!(node, "bad");
                 assert!(message.contains("boom"));
@@ -1576,7 +1561,14 @@ mod tests {
         }
     }
 
-    fn trip(r: Result<SimReport<()>, SimError>) -> (Time, u64) {
+    /// [`budget_run`]'s `(at, budget)` trip, under [`within_deadline`].
+    fn trip(
+        shards: usize,
+        nodes: usize,
+        step: fn(usize) -> u64,
+        stop: fn(usize) -> Option<usize>,
+    ) -> (Time, u64) {
+        let r = within_deadline("budget run", move || budget_run(shards, nodes, step, stop));
         match r {
             Err(SimError::EventBudgetExhausted { at, budget }) => (at, budget),
             other => panic!("expected budget exhaustion, got {other:?}"),
@@ -1590,15 +1582,12 @@ mod tests {
     /// left, see the module docs.)
     #[test]
     fn budget_error_pins_same_value_serial_and_parallel() {
-        let run = |shards| {
-            within_deadline("budget run", move || budget_run(shards, 4, |_| 1, |_| None))
-                .unwrap_or_else(|e| panic!("{e}"))
-        };
+        let run = |shards| trip(shards, 4, |_| 1, |_| None);
         // One shard has no window horizon, so `at` is its clock when the
         // budget ran out — pinned to the value the engine has always given.
-        assert_eq!(trip(run(1)), (Time(74), 300));
+        assert_eq!(run(1), (Time(74), 300));
         for shards in [2, 4] {
-            assert_eq!(trip(run(shards)).1, 300, "shards={shards}");
+            assert_eq!(run(shards).1, 300, "shards={shards}");
         }
     }
 
@@ -1619,11 +1608,11 @@ mod tests {
         ];
         for (name, (nodes, step, stop)) in loads {
             for shards in [2, 3, 4] {
-                let first = trip(budget_run(shards, nodes, step, stop));
+                let first = trip(shards, nodes, step, stop);
                 assert_eq!(first.1, 300);
                 for _ in 1..20 {
                     assert_eq!(
-                        trip(budget_run(shards, nodes, step, stop)),
+                        trip(shards, nodes, step, stop),
                         first,
                         "{name} load, shards={shards}"
                     );
@@ -1647,8 +1636,7 @@ mod tests {
             panic!("boom");
         });
         sim.spawn("done-early", |ctx| ctx.advance(Dur::ns(1)));
-        let out = sim.run_parallel(2);
-        match out {
+        match within_deadline("sharded panicking run", move || sim.run_parallel(2)) {
             Err(SimError::NodePanicked { node, message }) => {
                 assert_eq!(node, "slow-bad");
                 assert!(message.contains("boom"));
@@ -1686,13 +1674,10 @@ mod tests {
         let u = unwound.clone();
         sim.spawn("bad", move |ctx| {
             let _u = Unwound(u);
-            // The event inside the span defeats the fast path: a real yield.
-            ctx.schedule(Dur::us(1.0), |_e| {});
             ctx.advance(Dur::us(2.0));
             panic!("boom");
         });
-        let out = within_deadline("one-shard teardown", move || sim.run());
-        match out.unwrap_or_else(|e| panic!("{e}")) {
+        match within_deadline("one-shard teardown", move || sim.run()) {
             Err(SimError::NodePanicked { node, message }) => {
                 assert_eq!(node, "bad");
                 assert!(message.contains("boom"));

@@ -3,11 +3,9 @@
 //! count, world state, trace and budget trip, at any shard count. The toy
 //! world below polls per-node mailboxes that other nodes post into, on the
 //! same shard and across shards, while same-shard neighbours unpark each
-//! other so that latched signals meet both the fast and the slow path.
+//! other so that latched signals meet sleeping and running nodes.
 
-use sp_sim::{
-    Dur, EventCtx, NodeCtx, NodeId, ShardMsg, Shardable, Sim, SimError, Tie, Time, WakeReason,
-};
+use sp_sim::{Dur, EventCtx, NodeCtx, NodeId, ShardMsg, Shardable, Sim, SimError, Tie, Time};
 use sp_trace::Tracer;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -163,8 +161,7 @@ fn program(ctx: &mut NodeCtx<Toy>, fused: bool) {
             got = poll(ctx, fused, Dur::ns(25));
         }
         if k % 7 == 6 {
-            let r = ctx.park_timeout(Dur::ns(300));
-            assert!(matches!(r, WakeReason::Unparked | WakeReason::Timeout));
+            ctx.advance(Dur::ns(300));
         }
     }
     // Poll until every post addressed here has arrived.
@@ -269,10 +266,8 @@ fn panicking_step_names_the_issuing_node() {
             for i in 0..4 {
                 sim.spawn(format!("toy{i}"), move |ctx| {
                     if i == 0 {
-                        // An event inside the span defeats the fast path,
-                        // so the step parks with the wake, which pops while
+                        // The step parks with the wake, which pops while
                         // another node, asleep across it, drives the shard.
-                        ctx.schedule(Dur::ns(50), |_e| {});
                         ctx.advance_then(Dur::ns(100), Toy::boom, 0, 0);
                         unreachable!("the step panicked");
                     }

@@ -89,20 +89,4 @@ proptest! {
         let report = sim.run().unwrap();
         prop_assert_eq!(report.world, rounds as u32);
     }
-
-    /// park_timeout always resumes by its deadline even with no unpark.
-    #[test]
-    fn park_timeout_bounded(timeouts in prop::collection::vec(1u64..10_000, 1..30)) {
-        let total: u64 = timeouts.iter().sum();
-        let mut sim = Sim::new((), 1);
-        sim.spawn("t", move |ctx| {
-            for d in timeouts {
-                let before = ctx.now();
-                ctx.park_timeout(Dur::ns(d));
-                assert_eq!((ctx.now() - before).as_ns(), d);
-            }
-        });
-        let report = sim.run().unwrap();
-        prop_assert_eq!(report.end_time.as_ns(), total);
-    }
 }

@@ -24,9 +24,10 @@
 //!
 //! Overhead contract: components hold an `Option<Tracer>`; when it is
 //! `None` the per-event cost is one branch — no locks, no allocation —
-//! so the engine fast path is unaffected. When tracing is enabled, each
-//! record is one short uncontended mutex acquire into a fixed-capacity
-//! per-node ring buffer (oldest records overwritten, never reallocated).
+//! so an untraced run's engine hot path is unaffected. When tracing is
+//! enabled, each record is one short uncontended mutex acquire into a
+//! fixed-capacity per-node ring buffer (oldest records overwritten, never
+//! reallocated).
 
 #![warn(missing_docs)]
 

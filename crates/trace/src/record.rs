@@ -28,10 +28,10 @@ pub enum Kind {
     EngineCall,
     /// Dispatch of an allocation-free hot event.
     EngineHot,
-    /// A node charged virtual time; `arg` is 1 when the single-lock fast
-    /// path served the advance, 0 when the baton was handed to the engine.
+    /// A node charged virtual time and yielded until the span's end
+    /// (`arg` is 0).
     NodeAdvance,
-    /// A node blocked in `park`/`park_timeout`; `arg` is 1 for a timeout arm.
+    /// A node blocked in `park` (`arg` is 0).
     NodePark,
     /// An unpark was queued as a wake event for a parked node.
     NodeUnpark,

@@ -3,10 +3,10 @@
 //!
 //! Every component that can observe events holds an `Option<Tracer>`; when
 //! tracing is off the option is `None` and the cost is a single branch — no
-//! locks, no allocation, nothing on the PR-1 fast path. When tracing is on,
-//! each record costs one short uncontended mutex acquire on the ring owned
-//! by the record's node (the engine's single-runner discipline means rings
-//! are effectively single-writer).
+//! locks, no allocation, nothing on the engine's hot path. When tracing is
+//! on, each record costs one short uncontended mutex acquire on the ring
+//! owned by the record's node (the engine's single-runner discipline means
+//! rings are effectively single-writer).
 
 use crate::record::{Kind, Record, Track, TrackKind};
 use parking_lot::Mutex;

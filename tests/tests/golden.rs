@@ -1,9 +1,9 @@
 //! Golden determinism test: a fixed-seed, 4-node, lossy-switch AM run must
 //! reproduce an exact `(end_time, events)` pair and world-trace hash —
-//! run-to-run *and* commit-to-commit. Engine optimizations (the zero-handoff
-//! advance fast path, allocation-free hot events) must not move virtual
-//! time by a single nanosecond; if this test fails after an engine change,
-//! the change altered simulation semantics, not just performance.
+//! run-to-run *and* commit-to-commit. Engine changes (how a node yields and
+//! resumes, allocation-free hot events) must not move virtual time by a
+//! single nanosecond; if this test fails after an engine change, the change
+//! altered simulation semantics, not just performance.
 //!
 //! To reprint the current values (e.g. after an *intentional* protocol
 //! change): `SP_GOLDEN_PRINT=1 cargo test -p sp-integration golden -- --nocapture`
@@ -228,18 +228,15 @@ impl Fnv {
 /// a deliberate protocol/cost-model change may — reprint and update with
 /// `SP_GOLDEN_PRINT=1` (and say why in the commit).
 ///
-/// Refreshed after the engine fast-path rework (zero-handoff advance)
-/// landed: the seed-era pins predate it and no longer reproduce. The
-/// trace-layer changes in the same commit as this refresh are verified
-/// neutral — the pinned values below are byte-identical with and without
-/// the tracing hooks compiled in.
+/// How a node yields and resumes must not move them, and they are
+/// byte-identical with and without the tracing hooks compiled in.
 ///
 /// These pins also encode the single-frame equivalence guarantee of the
 /// topology-aware fabric: `SwitchConfig::default()` on
 /// `Topology::single_frame(n)` (what `SpConfig::thin` builds, and what
 /// this run uses) must reproduce the historical two-endpoint wormhole
-/// recurrence exactly — per-link occupancy, the `park_timeout` fast path,
-/// and the fault-model fixes all leave this run byte-identical.
+/// recurrence exactly — per-link occupancy and the fault-model fixes both
+/// leave this run byte-identical.
 const GOLDEN_END_NS: u64 = 6_642_255;
 const GOLDEN_EVENTS: u64 = 36_135;
 const GOLDEN_HASH: u64 = 0xEB6B_8367_9ED3_66C6;
