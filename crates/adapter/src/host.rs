@@ -120,26 +120,35 @@ pub fn poll_packet<P: Send + 'static>(ctx: &mut SpCtx<P>) -> Option<WirePacket<P
     ctx.world_then_advance(|w| poll_fifo(w, me, t0))
 }
 
-/// [`NodeCtx::advance`](sp_sim::NodeCtx::advance)`(d)`, then
-/// [`poll_packet`]: the same virtual-time charges and result, but when the
-/// advance has to yield, the FIFO check runs in the driver that resumes
-/// this node (see [`NodeCtx::advance_then`](sp_sim::NodeCtx::advance_then)),
-/// so the node thread is resumed once instead of twice. The popped packet
-/// waits in the adapter's poll slot until this node takes it.
-pub fn poll_packet_after<P: Send + 'static>(ctx: &mut SpCtx<P>, d: Dur) -> Option<WirePacket<P>> {
+/// Rounds of [`NodeCtx::advance`](sp_sim::NodeCtx::advance)`(d)`, then
+/// [`poll_packet`], until one finds a packet or the next round would start
+/// at or after `until`: the same virtual-time charges and result, but the
+/// FIFO checks run in the driver that would resume this node (see
+/// [`NodeCtx::advance_then`](sp_sim::NodeCtx::advance_then)), so the node
+/// thread is resumed once per call, not twice per round. `until` at or
+/// before now polls once; `span`, if given, is recorded over each round's
+/// advance as the round ends. The popped packet waits in the adapter's
+/// poll slot until this node takes it. Returns the packet and the rounds
+/// run.
+pub fn poll_packet_after<P: Send + 'static>(
+    ctx: &mut SpCtx<P>,
+    d: Dur,
+    until: Time,
+    span: Option<Kind>,
+) -> (Option<WirePacket<P>>, u64) {
     let me = ctx.id().0;
-    let t0 = ctx.now() + d;
-    ctx.advance_then(d, poll_step::<P>, me as u64, t0.as_ns());
-    ctx.world(|w| w.adapters[me].polled.take())
+    let rounds = ctx.advance_then(d, poll_step::<P>, me as u64, until, span);
+    (ctx.world(|w| w.adapters[me].polled.take()), rounds)
 }
 
-/// [`poll_packet_after`]'s world step: node `me`'s FIFO check at
-/// `t0_ns`, its packet left in the poll slot.
-fn poll_step<P: Send + 'static>(w: &mut SpWorld<P>, me: u64, t0_ns: u64) -> Dur {
+/// [`poll_packet_after`]'s world step: node `me`'s FIFO check at `t0`, its
+/// packet left in the poll slot; idle when the FIFO was empty.
+fn poll_step<P: Send + 'static>(w: &mut SpWorld<P>, me: u64, t0: Time) -> (Dur, bool) {
     let me = me as usize;
-    let (pkt, cost) = poll_fifo(w, me, Time(t0_ns));
+    let (pkt, cost) = poll_fifo(w, me, t0);
+    let idle = pkt.is_none();
     w.adapters[me].polled = pkt;
-    cost
+    (cost, idle)
 }
 
 /// Node `me`'s receive-FIFO check at `t0`: the packet, if any, and the host
@@ -249,7 +258,7 @@ pub fn spin_recv<P: Send + 'static>(ctx: &mut SpCtx<P>, spin_cost: Dur) -> WireP
         if let Some(pkt) = pkt {
             return pkt;
         }
-        pkt = poll_packet_after(ctx, spin_cost);
+        pkt = poll_packet_after(ctx, spin_cost, Time::ZERO, None).0;
     }
 }
 

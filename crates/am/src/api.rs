@@ -209,7 +209,7 @@ impl<'c, S> Am<'c, S> {
         a[..args.len()].copy_from_slice(args);
         self.port
             .send_request(self.ctx, dst, handler, args.len() as u8, a);
-        self.port.poll(self.ctx, &mut self.state);
+        self.port.poll(self.ctx, &mut self.state, Time::ZERO);
     }
 
     /// `am_request_1`.
@@ -243,13 +243,17 @@ impl<'c, S> Am<'c, S> {
     /// `am_poll`: drain and dispatch pending messages; returns how many
     /// were processed.
     pub fn poll(&mut self) -> usize {
-        self.port.poll(self.ctx, &mut self.state)
+        self.port.poll(self.ctx, &mut self.state, Time::ZERO)
     }
 
-    /// Poll until `pred(state)` holds.
+    /// Poll until `pred(state)` holds. Only a handled packet changes the
+    /// state, so while no peer is busy the empty polls repeat in the
+    /// engine without asking `pred` again (see `AmPort::poll`); every poll
+    /// is still charged and counted.
     pub fn poll_until(&mut self, mut pred: impl FnMut(&S) -> bool) {
         while !pred(&self.state) {
-            self.port.poll(self.ctx, &mut self.state);
+            // Only a packet can change `pred`'s verdict.
+            self.port.poll(self.ctx, &mut self.state, Time::MAX);
         }
     }
 
@@ -262,12 +266,12 @@ impl<'c, S> Am<'c, S> {
     pub fn wait_message(&mut self) -> usize {
         // Fast path: something already arrived.
         if sp_adapter::host::recv_pending(self.ctx) {
-            return self.port.poll(self.ctx, &mut self.state);
+            return self.port.poll(self.ctx, &mut self.state, Time::ZERO);
         }
         let cost = self.port.config_interrupt_cpu();
         self.ctx.park();
         self.ctx.advance(cost);
-        self.port.poll(self.ctx, &mut self.state)
+        self.port.poll(self.ctx, &mut self.state, Time::ZERO)
     }
 
     /// Interrupt-driven wait until `pred(state)` holds.
@@ -367,7 +371,7 @@ impl<'c, S> Am<'c, S> {
     /// Poll until the bulk transfer completes.
     pub fn wait_bulk(&mut self, h: BulkHandle) {
         while !self.port.bulk_done(h) {
-            self.port.poll(self.ctx, &mut self.state);
+            self.port.poll(self.ctx, &mut self.state, Time::ZERO);
         }
     }
 
@@ -384,7 +388,7 @@ impl<'c, S> Am<'c, S> {
     /// transfer is never stranded behind this node's next compute phase.
     pub fn flush_sends(&mut self) {
         while !self.port.all_sent() {
-            self.port.poll(self.ctx, &mut self.state);
+            self.port.poll(self.ctx, &mut self.state, Time::ZERO);
         }
     }
 
@@ -395,7 +399,7 @@ impl<'c, S> Am<'c, S> {
     /// a crash (which AM explicitly does not recover from, §1.1).
     pub fn quiesce(&mut self) {
         while !self.port.all_idle() {
-            self.port.poll(self.ctx, &mut self.state);
+            self.port.poll(self.ctx, &mut self.state, Time::ZERO);
         }
     }
 
@@ -406,7 +410,7 @@ impl<'c, S> Am<'c, S> {
     pub fn drain(&mut self, d: Dur) {
         let until = self.now() + d;
         while self.now() < until {
-            self.port.poll(self.ctx, &mut self.state);
+            self.port.poll(self.ctx, &mut self.state, until);
         }
     }
 
@@ -424,7 +428,7 @@ impl<'c, S> Am<'c, S> {
     pub fn drain_quiet(&mut self, d: Dur) {
         let mut deadline = self.now() + d;
         while self.now() < deadline {
-            if self.port.poll(self.ctx, &mut self.state) > 0 {
+            if self.port.poll(self.ctx, &mut self.state, deadline) > 0 {
                 deadline = self.now() + d;
             }
         }

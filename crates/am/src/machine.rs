@@ -50,6 +50,10 @@ pub struct AmReport {
     pub switch_dropped: u64,
     /// Duplicate unpark wake-ups coalesced by the engine.
     pub wakes_coalesced: u64,
+    /// Baton handoffs between node threads ([`SimReport::grants`]).
+    ///
+    /// [`SimReport::grants`]: sp_sim::SimReport::grants
+    pub grants: u64,
     /// Per-shard engine breakdown (empty on a serial run).
     pub shards: Vec<ShardReport>,
     /// Shards requested via [`SpConfig::parallel`] before clamping to the
@@ -203,6 +207,7 @@ impl AmMachine {
             dropped_overflow: report.world.dropped_overflow(),
             switch_dropped: report.world.switch.stats().dropped,
             wakes_coalesced: report.wakes_coalesced,
+            grants: report.grants,
             shards: report.shards,
             shards_requested: report.shards_requested,
             sync_events: report.sync_events,

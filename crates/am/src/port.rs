@@ -10,6 +10,7 @@ use crate::stats::AmStats;
 use crate::wire::{AmPacket, Body, Channel, ShortKind};
 use crate::AmCtx;
 use sp_adapter::host;
+use sp_sim::Time;
 use sp_trace::{Kind as TraceKind, Tracer, Track};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -461,12 +462,21 @@ impl<S> AmPort<S> {
 
     /// One `am_poll`: drain the receive FIFO, dispatching handlers and
     /// control processing; run the keep-alive counter; pump all peers.
+    /// While no peer is busy, the empty polls of a caller that would poll
+    /// again until `until` run in the adapter's driver-side loop
+    /// ([`host::poll_packet_after`]); `until` at or before now polls once.
     /// Returns the number of packets processed.
-    pub(crate) fn poll(&mut self, ctx: &mut AmCtx, state: &mut S) -> usize {
-        self.stats.polls += 1;
-        let t0 = ctx.now();
-        let mut next = host::poll_packet_after(ctx, self.cfg.poll_cpu);
-        self.t_span(t0, t0 + self.cfg.poll_cpu, TraceKind::AmPoll, 0);
+    pub(crate) fn poll(&mut self, ctx: &mut AmCtx, state: &mut S, until: Time) -> usize {
+        // With no busy peer, an empty poll changes nothing but the clock and
+        // `polls`: no keep-alive count, timer sweep or pump follows it.
+        let until = if self.next_busy(0).is_none() {
+            until
+        } else {
+            Time::ZERO
+        };
+        let span = Some(TraceKind::AmPoll);
+        let (mut next, rounds) = host::poll_packet_after(ctx, self.cfg.poll_cpu, until, span);
+        self.stats.polls += rounds;
         self.made_progress = false;
         let mut processed = 0usize;
         while let Some(wpkt) = next {
@@ -1120,7 +1130,7 @@ impl<S> AmPort<S> {
         }
         if self.me == 0 {
             while self.barrier_hits < (self.n - 1) as u32 {
-                self.poll(ctx, state);
+                self.poll(ctx, state, Time::ZERO);
             }
             self.barrier_hits = 0;
             for dst in 1..self.n {
@@ -1141,7 +1151,7 @@ impl<S> AmPort<S> {
             });
             self.pump_peer(ctx, 0);
             while !self.barrier_go {
-                self.poll(ctx, state);
+                self.poll(ctx, state, Time::ZERO);
             }
             self.barrier_go = false;
         }

@@ -11,7 +11,8 @@ pub struct AmStats {
     pub stores: u64,
     /// `am_get` calls.
     pub gets: u64,
-    /// `am_poll` calls.
+    /// `am_poll` rounds, including the empty ones a waiting loop repeats
+    /// in the engine.
     pub polls: u64,
     /// Sequenced packets emitted (first transmissions).
     pub packets_sent: u64,

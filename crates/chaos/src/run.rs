@@ -458,15 +458,20 @@ fn take_faults(am: &mut Am<'_, ChaosSt>) {
 /// Lossless-tail drain + end-of-run snapshot, shared by every workload:
 /// keep polling until a quiet window passes with no arrivals, then give
 /// keep-alive a bounded chance to clear unacked residue, then record the
-/// node's final protocol state into the probe.
+/// node's final protocol state into the probe. The quiet window starts no
+/// earlier than `faults_end`, the end of the schedule's last timed fault:
+/// a fault still under way (a partition, say) could silence the peer for
+/// the whole window.
 fn settle<S>(
     am: &mut Am<'_, S>,
     tail: Dur,
+    faults_end: Time,
     probe: &SharedProbe,
     mut hook: impl FnMut(&mut Am<'_, S>),
 ) {
-    let hard = am.now() + tail * 8;
-    let mut quiet_until = am.now() + tail;
+    let start = am.now().max(faults_end);
+    let hard = start + tail * 8;
+    let mut quiet_until = start + tail;
     while am.now() < quiet_until && am.now() < hard {
         hook(am);
         if am.poll() > 0 {
@@ -540,6 +545,7 @@ fn spawn_pingpong(
     crashes: &[Vec<(Time, Dur)>],
 ) {
     let (msgs, deadline, tail) = (s.msgs, Time(s.deadline_ns), Dur(s.tail_quiet_ns));
+    let faults_end = Time(s.faults_end_ns());
     for (node, node_pauses) in pauses.iter().enumerate().take(nodes) {
         let st = ChaosSt::new(probe.clone(), node_pauses.clone(), crashes[node].clone());
         let probe = probe.clone();
@@ -563,7 +569,7 @@ fn spawn_pingpong(
                     am.poll();
                 }
             }
-            settle(am, tail, &probe, take_faults);
+            settle(am, tail, faults_end, &probe, take_faults);
         });
     }
 }
@@ -577,6 +583,7 @@ fn spawn_streaming(
     crashes: &[Vec<(Time, Dur)>],
 ) {
     let (msgs, deadline, tail) = (s.msgs, Time(s.deadline_ns), Dur(s.tail_quiet_ns));
+    let faults_end = Time(s.faults_end_ns());
     for (node, node_pauses) in pauses.iter().enumerate().take(nodes) {
         let st = ChaosSt::new(probe.clone(), node_pauses.clone(), crashes[node].clone());
         let probe = probe.clone();
@@ -596,7 +603,7 @@ fn spawn_streaming(
                     am.poll();
                 }
             }
-            settle(am, tail, &probe, take_faults);
+            settle(am, tail, faults_end, &probe, take_faults);
         });
     }
 }
@@ -609,6 +616,7 @@ fn spawn_splitc(
     pauses: &[Vec<(Time, Dur)>],
 ) {
     let (msgs, deadline, tail) = (s.msgs, Time(s.deadline_ns), Dur(s.tail_quiet_ns));
+    let faults_end = Time(s.faults_end_ns());
     for node in 0..nodes {
         let probe = probe.clone();
         let pauses = pauses[node].clone();
@@ -672,7 +680,7 @@ fn spawn_splitc(
                 // reaches it even when a fault window severed the fabric.
                 gas.barrier();
             }
-            settle(am, tail, &probe, |_| {});
+            settle(am, tail, faults_end, &probe, |_| {});
         });
     }
 }
@@ -686,6 +694,7 @@ fn spawn_mpi(
     cost: sp_machine::CostModel,
 ) {
     let (msgs, deadline, tail) = (s.msgs, Time(s.deadline_ns), Dur(s.tail_quiet_ns));
+    let faults_end = Time(s.faults_end_ns());
     let cfg = MpiAmConfig::optimized();
     for node in 0..nodes {
         let probe = probe.clone();
@@ -737,7 +746,7 @@ fn spawn_mpi(
                     }
                 }
             }
-            settle(am, tail, &probe, |_| {});
+            settle(am, tail, faults_end, &probe, |_| {});
         });
     }
 }

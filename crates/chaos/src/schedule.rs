@@ -387,6 +387,30 @@ impl Schedule {
         }
     }
 
+    /// The virtual instant the last timed fault ends (windows, stalls,
+    /// pauses, crash outages and partitions), zero when there is none.
+    pub fn faults_end_ns(&self) -> u64 {
+        self.events
+            .iter()
+            .map(|e| match *e {
+                FaultEvent::DropWindow { until_ns, .. }
+                | FaultEvent::DupWindow { until_ns, .. }
+                | FaultEvent::DelayWindow { until_ns, .. }
+                | FaultEvent::FifoShrink { until_ns, .. }
+                | FaultEvent::Partition { until_ns, .. } => until_ns,
+                FaultEvent::SendStall { at_ns, dur_ns, .. }
+                | FaultEvent::RecvStall { at_ns, dur_ns, .. }
+                | FaultEvent::Pause { at_ns, dur_ns, .. } => at_ns.saturating_add(dur_ns),
+                FaultEvent::Crash { at_ns, down_ns, .. } => at_ns.saturating_add(down_ns),
+                FaultEvent::DropIndex(_)
+                | FaultEvent::DupIndex(_)
+                | FaultEvent::DelayIndex(_)
+                | FaultEvent::CableKill { .. } => 0,
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Render the canonical text form (inverse of [`Schedule::parse`]).
     pub fn format(&self) -> String {
         use std::fmt::Write;

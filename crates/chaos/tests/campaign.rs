@@ -398,3 +398,20 @@ fn pinned_nasty_schedule_report_is_stable() {
         rep.report
     );
 }
+
+/// The two schedules that failed `campaign --per-workload 512 --seed 1`
+/// before the quiet tail waited out the schedule's faults: a partition
+/// that outlasts the receiver's work must not end its tail early.
+#[test]
+fn pinned_partition_tail_schedules_replay_serial_and_sharded() {
+    for text in [
+        include_str!("../schedules/partition-tail-streaming.sched"),
+        include_str!("../schedules/partition-tail-splitc.sched"),
+    ] {
+        let rep = replay(text).unwrap();
+        assert_eq!(rep.matches(), Some(true), "drifted:\n{}", rep.report);
+        assert!(rep.report.contains("\nviolations 0\n"), "{}", rep.report);
+        let rep4 = replay_sharded(text, 4).unwrap();
+        assert_eq!(rep4.matches(), Some(true), "--parallel 4:\n{}", rep4.report);
+    }
+}

@@ -258,7 +258,7 @@ impl<'c> Mpl<'c> {
     /// messages, and returning credits. Returns packets processed.
     pub fn poll(&mut self) -> usize {
         let mut processed = 0;
-        let mut next = host::poll_packet_after(self.ctx, self.cfg.poll_cpu);
+        let mut next = host::poll_packet_after(self.ctx, self.cfg.poll_cpu, Time::ZERO, None).0;
         while let Some(wpkt) = next {
             processed += 1;
             let src = wpkt.src;

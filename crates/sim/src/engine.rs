@@ -10,6 +10,7 @@ use sp_trace::{Kind as TraceKind, Tracer, Track};
 use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Identifier of a node program (dense, `0..num_nodes`, in spawn order).
@@ -32,12 +33,30 @@ pub(crate) type EventFn<W> = Box<dyn FnOnce(&mut EventCtx<'_, W>) + Send + 'stat
 pub type HotFn<W> = fn(&mut EventCtx<'_, W>, u64, u64);
 
 /// Allocation-free world step a node hands to its shard's driver (see
-/// [`NodeCtx::advance_then`]): a plain `fn` pointer called with two integer
-/// arguments, returning the virtual time it charges the node.
-pub type StepFn<W> = fn(&mut W, u64, u64) -> Dur;
+/// [`NodeCtx::advance_then`]): a plain `fn` pointer called with an integer
+/// argument and the virtual instant it runs at. It returns the virtual time
+/// it charges the node and whether it found nothing for the node (`true`:
+/// the node would only start another round).
+pub type StepFn<W> = fn(&mut W, u64, Time) -> (Dur, bool);
 
-/// A parked [`StepFn`] with its arguments.
-pub(crate) type Step<W> = (StepFn<W>, u64, u64);
+/// A node's parked [`StepFn`] and the rounds of `advance(d)` + step that
+/// its driver may run without resuming it (see [`NodeCtx::advance_then`]).
+pub(crate) struct Step<W: Send + 'static> {
+    pub(crate) f: StepFn<W>,
+    pub(crate) a: u64,
+    /// The advance each round charges before its step.
+    pub(crate) d: Dur,
+    /// No round starts at or after this instant.
+    pub(crate) until: Time,
+    /// What the node records over each round's advance as it resumes.
+    pub(crate) span: Option<TraceKind>,
+    /// Where the current round's advance began.
+    pub(crate) start: Time,
+    /// Rounds whose step has run.
+    pub(crate) rounds: u64,
+    /// The current round's step has run: `Some(idle)`, its verdict.
+    pub(crate) idle: Option<bool>,
+}
 
 /// Event payload.
 pub(crate) enum EvKind<W: Send + 'static> {
@@ -276,6 +295,9 @@ pub(crate) struct Inner<W: Send + 'static> {
     /// wake runs in the driver, before the node resumes (see
     /// [`NodeCtx::advance_then`]).
     pub(crate) steps: Vec<Option<Step<W>>>,
+    /// Baton handoffs: wakes this shard's drivers granted to another
+    /// node's thread.
+    pub(crate) grants: u64,
     /// Trace recorder; `None` (the default) keeps every hook down to a
     /// single branch, so an untraced run records nothing.
     pub(crate) tracer: Option<Tracer>,
@@ -284,7 +306,7 @@ pub(crate) struct Inner<W: Send + 'static> {
 impl<W: Send + 'static> Inner<W> {
     /// Put running node `id` to sleep until `until`, resumed by a
     /// `Timeout` wake.
-    fn sleep(&mut self, id: NodeId, until: Time) {
+    pub(crate) fn sleep(&mut self, id: NodeId, until: Time) {
         let epoch = self.nodes[id.0].epoch;
         self.nodes[id.0].state = NState::Sleeping;
         if let Some(t) = &self.tracer {
@@ -319,6 +341,73 @@ impl<W: Send + 'static> Inner<W> {
         }
         self.sleep(id, self.now + d);
         None
+    }
+
+    /// Node `id`'s parked step (if any) at the wake that resumes it at
+    /// `at`: run the step, unless it already ran this round, and charge
+    /// its cost; then end the round where the node would resume, recording
+    /// the round's span, and start the next round instead if the step found
+    /// nothing and that round would start before the bound. Returns the
+    /// resume instant and the rounds run, `None` while the node sleeps
+    /// again, or the step's panic.
+    pub(crate) fn run_step(
+        &mut self,
+        id: NodeId,
+        mut at: Time,
+    ) -> Result<Option<(Time, u64)>, Box<dyn Any + Send>> {
+        let Some(mut step) = self.steps[id.0].take() else {
+            return Ok(Some((at, 0)));
+        };
+        if step.idle.is_none() {
+            let world = &mut self.world;
+            let (d, idle) = catch_unwind(AssertUnwindSafe(|| (step.f)(world, step.a, at)))?;
+            step.rounds += 1;
+            step.idle = Some(idle);
+            match self.charge(id, d) {
+                Some(t) => at = t,
+                None => {
+                    // Asleep for the charge; its wake ends the round.
+                    self.steps[id.0] = Some(step);
+                    return Ok(None);
+                }
+            }
+        }
+        if let (Some(kind), Some(t)) = (step.span, &self.tracer) {
+            let end = step.start + step.d;
+            t.span(
+                step.start.as_ns(),
+                end.as_ns(),
+                Track::program(id.0),
+                kind,
+                0,
+            );
+        }
+        if step.idle == Some(true) && at < step.until {
+            step.start = at;
+            step.idle = None;
+            self.sleep(id, at + step.d);
+            self.steps[id.0] = Some(step);
+            return Ok(None);
+        }
+        Ok(Some((at, step.rounds)))
+    }
+
+    /// Consume node `id`'s latched unpark signal, if any.
+    pub(crate) fn take_signal(&mut self, id: NodeId) -> bool {
+        std::mem::take(&mut self.nodes[id.0].signal)
+    }
+
+    /// Mark running node `id` parked until an unpark wakes it.
+    pub(crate) fn note_park(&mut self, id: NodeId) {
+        if let Some(t) = &self.tracer {
+            t.instant(
+                self.now.as_ns(),
+                Track::program(id.0),
+                TraceKind::NodePark,
+                0,
+            );
+        }
+        self.nodes[id.0].state = NState::Parked;
     }
 }
 
@@ -399,52 +488,8 @@ impl<W: Send + 'static> Shared<W> {
         f(&mut self.inner.lock().world)
     }
 
-    /// Put node `id` to sleep until `until`, parking `then` (if any) in
-    /// its step slot for the driver that pops its wake: that driver runs
-    /// the step and charges what it returns, as
-    /// [`NodeCtx::world_then_advance`] would. The node must yield.
-    pub(crate) fn advance(&self, id: NodeId, until: Time, then: Option<Step<W>>) {
-        let inner = &mut *self.inner.lock();
-        inner.sleep(id, until);
-        inner.steps[id.0] = then;
-    }
-
-    /// Run a world closure and charge the duration it returns, all under a
-    /// single lock acquire (see [`Inner::charge`]). Returns the closure
-    /// result and the node's resume time, or `None` if it went to sleep
-    /// and must yield.
-    pub(crate) fn world_charge<R>(
-        &self,
-        id: NodeId,
-        f: impl FnOnce(&mut W) -> (R, Dur),
-    ) -> (R, Option<Time>) {
-        let inner = &mut *self.inner.lock();
-        let (r, d) = f(&mut inner.world);
-        (r, inner.charge(id, d))
-    }
-
     pub(crate) fn schedule(&self, at: Time, tie: Tie, kind: EvKind<W>) {
         self.inner.lock().sched.push(at, tie, kind);
-    }
-
-    pub(crate) fn take_signal(&self, id: NodeId) -> bool {
-        let mut inner = self.inner.lock();
-        let sig = inner.nodes[id.0].signal;
-        inner.nodes[id.0].signal = false;
-        sig
-    }
-
-    pub(crate) fn note_park(&self, id: NodeId) {
-        let mut inner = self.inner.lock();
-        if let Some(t) = &inner.tracer {
-            t.instant(
-                inner.now.as_ns(),
-                Track::program(id.0),
-                TraceKind::NodePark,
-                0,
-            );
-        }
-        inner.nodes[id.0].state = NState::Parked;
     }
 
     pub(crate) fn unpark(&self, target: NodeId, now: Time) {
@@ -457,10 +502,6 @@ impl<W: Send + 'static> Shared<W> {
             now,
             &inner.tracer,
         );
-    }
-
-    pub(crate) fn note_done(&self, id: NodeId) {
-        self.inner.lock().nodes[id.0].state = NState::Done;
     }
 }
 
@@ -850,6 +891,12 @@ pub struct SimReport<W> {
     /// Unparks absorbed into an already-queued wake instead of producing a
     /// duplicate (stale) event, summed over all nodes.
     pub wakes_coalesced: u64,
+    /// Baton handoffs: wakes that resumed a node on a thread other than
+    /// the one driving its shard, each a wake and a sleep of an OS thread
+    /// on the host. A yield whose own wake comes up first, and an idle
+    /// round that [`NodeCtx::advance_then`] repeats in the driver, cost
+    /// none.
+    pub grants: u64,
     /// Per-shard accounting of a parallel run; empty for serial runs.
     pub shards: Vec<ShardReport>,
     /// Shard count the caller asked [`Sim::run_parallel`] for, before the

@@ -6,10 +6,12 @@
 //! a node that yields becomes its shard's driver (see the `parallel`
 //! module), popping events until its own wake surfaces — it then resumes
 //! with no context switch — or until it grants another node's baton and
-//! blocks on its own. A node may park a world step with its wake
-//! ([`NodeCtx::advance_then`]), which the driver runs before it grants. A
-//! baton is a tiny state machine in a mutex, with a condvar the node
-//! thread waits on. A node holds `Run` in its slot from its grant until it
+//! blocks on its own. A yield takes the shard lock once and hands it to
+//! the drive loop. A node may park a world step with its wake
+//! ([`NodeCtx::advance_then`]), which the driver runs before it grants,
+//! and a step that finds nothing may start the node's next round in the
+//! driver instead of resuming it. A baton is a tiny state machine in a
+//! mutex, with a condvar the node thread waits on. A node holds `Run` in its slot from its grant until it
 //! hands off: the driver releases its own baton only just before it
 //! grants another node's (or when the run ends), so a yield whose own
 //! wake comes up first takes no baton lock at all. Every wake follows the
@@ -17,12 +19,13 @@
 //! while the granter still held the mutex would wake only to block on it,
 //! and one handoff would enter the kernel twice.
 
-use crate::engine::{EvKind, NodeId, Shared, Step, StepFn, Tie};
+use crate::engine::{EvKind, Inner, NodeId, Shared, Step, StepFn, Tie};
 use crate::parallel::Core;
 use crate::time::{Dur, Time};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use sp_trace::Kind as TraceKind;
 use std::sync::Arc;
 
 /// Why a blocked node program resumed.
@@ -35,12 +38,23 @@ pub enum WakeReason {
     Unparked,
 }
 
+/// What a node resumes with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Resume {
+    /// The virtual instant it resumes at.
+    pub(crate) at: Time,
+    pub(crate) reason: WakeReason,
+    /// Rounds its [`NodeCtx::advance_then`] ran; zero after any other
+    /// yield.
+    pub(crate) rounds: u64,
+}
+
 /// Baton slot contents.
 enum Slot {
     /// The node does not hold the baton.
     Idle,
-    /// A driver granted the node the right to run, at virtual time `at`.
-    Run { at: Time, reason: WakeReason },
+    /// A driver granted the node the right to run.
+    Run(Resume),
     /// The run is being torn down; the node thread must exit.
     Exit,
 }
@@ -74,13 +88,13 @@ impl Baton {
     /// The target must be idle, unless teardown already told it to exit:
     /// that `Exit` wins, so a grant racing a failure on another shard
     /// cannot strand the node past the join.
-    pub(crate) fn grant(&self, at: Time, reason: WakeReason) {
+    pub(crate) fn grant(&self, resume: Resume) {
         let mut slot = self.slot.lock();
         if matches!(*slot, Slot::Exit) {
             return;
         }
         debug_assert!(matches!(*slot, Slot::Idle), "grant: baton not idle");
-        *slot = Slot::Run { at, reason };
+        *slot = Slot::Run(resume);
         // Wake after the unlock (module docs).
         drop(slot);
         self.cv.notify_one();
@@ -92,7 +106,7 @@ impl Baton {
     /// the thread still unwinds at its next wait.
     pub(crate) fn release(&self) {
         let mut slot = self.slot.lock();
-        if matches!(*slot, Slot::Run { .. }) {
+        if matches!(*slot, Slot::Run(_)) {
             *slot = Slot::Idle;
         }
     }
@@ -105,16 +119,13 @@ impl Baton {
     }
 
     /// Node side: block until granted `Run`; unwind on `Exit`.
-    pub(crate) fn wait_for_run(&self) -> (Time, WakeReason) {
+    pub(crate) fn wait_for_run(&self) -> Resume {
         let mut slot = self.slot.lock();
         loop {
             match &*slot {
-                Slot::Run { at, reason } => {
-                    let out = (*at, *reason);
-                    // Leave `Run` in place: it marks that the node holds the
-                    // baton until it yields again.
-                    return out;
-                }
+                // Leave `Run` in place: it marks that the node holds the
+                // baton until it yields again.
+                Slot::Run(resume) => return *resume,
                 Slot::Exit => {
                     drop(slot);
                     std::panic::resume_unwind(Box::new(ShutdownToken));
@@ -129,7 +140,7 @@ impl Baton {
 pub(crate) enum Drive {
     /// The driving node's own wake came up while it was driving: it resumes
     /// running directly, with zero baton hand-offs.
-    SelfRun(Time, WakeReason),
+    SelfRun(Resume),
     /// The driver released its own baton and granted some other node's;
     /// the caller must wait for its own next `Run` grant.
     Handed,
@@ -176,14 +187,15 @@ impl<W: Send + 'static> NodeCtx<W> {
         }
     }
 
-    /// Yield: *become* the shard's driver, still holding the baton. If
-    /// this node's own wake surfaces while driving, it resumes with zero
-    /// context switches; otherwise the driver released its baton, granted
-    /// another node's, and this node waits for its turn.
-    fn yield_and_drive(&mut self) -> (Time, WakeReason) {
+    /// Yield: *become* the shard's driver, still holding the baton and
+    /// the shard lock `inner` the yield took. If this node's own wake
+    /// surfaces while driving, it resumes with zero context switches;
+    /// otherwise the driver released its baton, granted another node's,
+    /// and this node waits for its turn.
+    fn yield_and_drive(&self, inner: MutexGuard<'_, Inner<W>>) -> Resume {
         let baton = &self.core.batons[self.id.0];
-        match self.core.drive(self.shard, Some(self.id)) {
-            Drive::SelfRun(t, reason) => (t, reason),
+        match self.core.drive(self.shard, Some(self.id), inner) {
+            Drive::SelfRun(resume) => resume,
             Drive::Handed => baton.wait_for_run(),
             Drive::Shutdown => {
                 // Without the release the wait would return the held `Run`.
@@ -227,26 +239,59 @@ impl<W: Send + 'static> NodeCtx<W> {
         self.advance_with(d, None);
     }
 
-    /// [`NodeCtx::advance`]`(d)` followed by
-    /// [`NodeCtx::world_then_advance`]`(|w| ((), step(w, a, b)))`, with the
-    /// same virtual-time behavior, event count and trace, but cheaper on the
-    /// host: the node parks the step with its wake, and the driver that
-    /// pops the wake runs the step and charges its cost itself. The node
-    /// thread is then resumed once — after the step's charge — instead of
-    /// once for the advance and once more if the step's charge yields. The
-    /// step sees exactly the state the resumed node would have seen: one
-    /// thread per shard runs at a time, and the driver runs the step before
-    /// anything else. `step` is a plain `fn` (like [`HotFn`](crate::HotFn)),
-    /// so nothing is allocated; a result larger than the returned cost
-    /// travels through the world. A panic in the step fails the run as this
-    /// node's panic.
-    pub fn advance_then(&mut self, d: Dur, step: StepFn<W>, a: u64, b: u64) {
-        self.advance_with(d, Some((step, a, b)));
+    /// Rounds of [`NodeCtx::advance`]`(d)` followed by
+    /// [`NodeCtx::world_then_advance`]`(|w| ((), step(w, a, now).0))`, with
+    /// the same virtual-time behavior, event count and trace as that loop,
+    /// but cheaper on the host: the node parks the step with its wake, and
+    /// the driver that pops the wake runs the step and charges its cost
+    /// itself. The step sees exactly the state the resumed node would have
+    /// seen: one thread per shard runs at a time, and the driver runs the
+    /// step before anything else. `step` is a plain `fn` (like
+    /// [`HotFn`](crate::HotFn)), so nothing is allocated; a result larger
+    /// than the returned cost travels through the world. A panic in the
+    /// step fails the run as this node's panic.
+    ///
+    /// The first round always runs. When a step finds nothing (its second
+    /// result) and the next round would start before `until`, the driver
+    /// starts that round itself instead of resuming the node, so a node
+    /// whose loop only polls again is resumed once, when its step finds
+    /// something or the bound is reached. The caller must do nothing
+    /// between two such rounds besides recording `span` (if given), over
+    /// the round's advance on its program track: the driver records it as
+    /// each round ends, before the node resumes or the next round starts.
+    /// `until` at or before now makes it one round; `Time::MAX` bounds
+    /// nothing. Returns the rounds run.
+    pub fn advance_then(
+        &mut self,
+        d: Dur,
+        step: StepFn<W>,
+        a: u64,
+        until: Time,
+        span: Option<TraceKind>,
+    ) -> u64 {
+        let step = Step {
+            f: step,
+            a,
+            d,
+            until,
+            span,
+            start: self.now,
+            rounds: 0,
+            idle: None,
+        };
+        self.advance_with(d, Some(step))
     }
 
-    fn advance_with(&mut self, d: Dur, then: Option<Step<W>>) {
-        self.shared.advance(self.id, self.now + d, then);
-        self.now = self.yield_and_drive().0;
+    /// Sleep for `d`, parking `then` (if any) for the driver that pops the
+    /// wake, and drive; one shard-lock acquire per yield. Returns the
+    /// rounds `then` ran.
+    fn advance_with(&mut self, d: Dur, then: Option<Step<W>>) -> u64 {
+        let mut inner = self.shared.inner.lock();
+        inner.sleep(self.id, self.now + d);
+        inner.steps[self.id.0] = then;
+        let resume = self.yield_and_drive(inner);
+        self.now = resume.at;
+        resume.rounds
     }
 
     /// Access the world and charge virtual time in one combined operation:
@@ -257,10 +302,11 @@ impl<W: Send + 'static> NodeCtx<W> {
     /// [`NodeCtx::advance`]; to fold an advance *before* the world access
     /// into the same yield, see [`NodeCtx::advance_then`].
     pub fn world_then_advance<R>(&mut self, f: impl FnOnce(&mut W) -> (R, Dur)) -> R {
-        let (r, resumed) = self.shared.world_charge(self.id, f);
-        self.now = match resumed {
+        let mut inner = self.shared.inner.lock();
+        let (r, d) = f(&mut inner.world);
+        self.now = match inner.charge(self.id, d) {
             Some(t) => t,
-            None => self.yield_and_drive().0,
+            None => self.yield_and_drive(inner).at,
         };
         r
     }
@@ -269,13 +315,14 @@ impl<W: Send + 'static> NodeCtx<W> {
     /// Consecutive unparks coalesce (as with `std::thread::park`). Returns
     /// immediately if a signal is already pending.
     pub fn park(&mut self) -> WakeReason {
-        if self.shared.take_signal(self.id) {
+        let mut inner = self.shared.inner.lock();
+        if inner.take_signal(self.id) {
             return WakeReason::Unparked;
         }
-        self.shared.note_park(self.id);
-        let (t, reason) = self.yield_and_drive();
-        self.now = t;
-        reason
+        inner.note_park(self.id);
+        let resume = self.yield_and_drive(inner);
+        self.now = resume.at;
+        resume.reason
     }
 
     /// Unpark node `target`: if it is parked it becomes runnable *now*;
@@ -331,6 +378,12 @@ mod tests {
     use crate::test_util::within_deadline;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
+    const START: Resume = Resume {
+        at: Time::ZERO,
+        reason: WakeReason::Timeout,
+        rounds: 0,
+    };
+
     /// Whether `wait_for_run` unwinds with the teardown token. Call it only
     /// when the slot holds `Run` or `Exit`: an idle baton would block.
     fn unwinds(baton: &Baton) -> bool {
@@ -345,7 +398,7 @@ mod tests {
     #[test]
     fn exit_after_grant_unwinds_the_waiter() {
         let baton = Baton::new();
-        baton.grant(Time::ZERO, WakeReason::Timeout);
+        baton.grant(START);
         baton.exit();
         assert!(unwinds(&baton));
     }
@@ -354,7 +407,7 @@ mod tests {
     fn grant_after_exit_is_ignored() {
         let baton = Baton::new();
         baton.exit();
-        baton.grant(Time::ZERO, WakeReason::Timeout);
+        baton.grant(START);
         assert!(is_exit(&baton), "a racing grant must not undo Exit");
         assert!(unwinds(&baton));
     }
@@ -362,7 +415,7 @@ mod tests {
     #[test]
     fn release_after_exit_keeps_exit() {
         let baton = Baton::new();
-        baton.grant(Time::ZERO, WakeReason::Timeout);
+        baton.grant(START);
         baton.exit();
         // A driver may still pop its own wake after `Exit`: it resumes in
         // place, releases when its drive ends, and unwinds at the wait.
@@ -379,10 +432,15 @@ mod tests {
         // stale grant.
         let baton = Baton::new();
         assert!(!baton.held());
-        baton.grant(Time(5), WakeReason::Unparked);
-        assert_eq!(baton.wait_for_run(), (Time(5), WakeReason::Unparked));
+        let r = Resume {
+            at: Time(5),
+            reason: WakeReason::Unparked,
+            rounds: 0,
+        };
+        baton.grant(r);
+        assert_eq!(baton.wait_for_run(), r);
         assert!(baton.held(), "the grant stays while the node runs");
-        assert_eq!(baton.wait_for_run(), (Time(5), WakeReason::Unparked));
+        assert_eq!(baton.wait_for_run(), r);
         baton.release();
         assert!(!baton.held());
     }
@@ -393,7 +451,7 @@ mod tests {
         // baton and waits, and teardown's exit, landing before or after
         // the wait begins, unwinds it.
         let baton = Baton::new();
-        baton.grant(Time::ZERO, WakeReason::Timeout);
+        baton.grant(START);
         baton.release();
         let b = baton.clone();
         std::thread::spawn(move || b.exit());

@@ -13,7 +13,10 @@
 //! for the handoff, so a self-resume takes no baton lock. A wake may carry
 //! a world step the node parked with it ([`NodeCtx::advance_then`]): the
 //! driver runs the step and charges its cost before it grants the baton,
-//! so a node whose step puts it back to sleep is not resumed at all. This keeps the
+//! so a node whose step puts it back to sleep is not resumed at all; and
+//! when the step found nothing and the node's bound allows another round,
+//! the driver starts that round itself, exactly as the node would have
+//! (an idle poll loop costs no handoff per poll). This keeps the
 //! single-runner-per-shard discipline that makes world access
 //! data-race-free. A node whose program returns keeps driving until it
 //! hands the role on. A one-shard run has an unbounded horizon, so it ends
@@ -116,7 +119,7 @@ use crate::engine::{
     ShardProfile, ShardReport, ShardSlot, Shared, Sim, SimReport, Tie,
 };
 use crate::error::SimError;
-use crate::node::{Baton, Drive, NodeCtx, ShutdownToken, WakeReason};
+use crate::node::{Baton, Drive, NodeCtx, Resume, ShutdownToken, WakeReason};
 use crate::time::{Dur, Time};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use sp_trace::{Kind as TraceKind, Tracer, Track};
@@ -680,16 +683,21 @@ impl<W: Send + 'static> Core<W> {
         self.barrier(sid, unparks, next, arrive)
     }
 
-    /// One shard's event loop: pop-and-execute below the horizon, run the
-    /// world step a woken node parked with its wake, grant batons to woken
-    /// nodes, and when the window is exhausted arrive at the
-    /// barrier (sharded) or end the run (one shard: the queue is empty).
-    /// Returns when the baton moved to another node ([`Drive::Handed`]), the
+    /// One shard's event loop, entered holding the shard's lock `inner`:
+    /// pop-and-execute below the horizon, run the world step a woken node
+    /// parked with its wake (and the idle rounds after it), grant batons to
+    /// woken nodes, and when the window is exhausted arrive at the barrier
+    /// (sharded) or end the run (one shard: the queue is empty). Returns
+    /// when the baton moved to another node ([`Drive::Handed`]), the
     /// caller's own wake surfaced ([`Drive::SelfRun`]), or the run ended
     /// ([`Drive::Shutdown`]).
-    pub(crate) fn drive(&self, sid: usize, me: Option<NodeId>) -> Drive {
+    pub(crate) fn drive<'a>(
+        &'a self,
+        sid: usize,
+        me: Option<NodeId>,
+        mut inner: MutexGuard<'a, Inner<W>>,
+    ) -> Drive {
         let shared = &self.shards[sid];
-        let mut inner = shared.inner.lock();
         loop {
             if self.stopped.load(Ordering::Acquire) {
                 return Drive::Shutdown;
@@ -772,46 +780,39 @@ impl<W: Send + 'static> Core<W> {
                             matches!(reason, WakeReason::Unparked) as u64,
                         );
                     }
-                    let mut at = ev.time;
-                    if let Some((step, a, b)) = inner.steps[node.0].take() {
-                        // The node's parked world step (`advance_then`):
-                        // run it here, where the resumed node would have,
-                        // and charge it as the node would have.
-                        let world = &mut inner.world;
-                        let d = match catch_unwind(AssertUnwindSafe(|| step(world, a, b))) {
-                            Ok(d) => d,
-                            Err(payload) => {
-                                inner.nodes[node.0].state = NState::Done;
-                                let name = inner.nodes[node.0].name.clone();
-                                drop(inner);
-                                self.halt(Some(SimError::NodePanicked {
-                                    node: name,
-                                    message: panic_message(payload),
-                                }));
-                                return Drive::Shutdown;
-                            }
-                        };
-                        match inner.charge(node, d) {
-                            Some(t) => at = t,
-                            None => continue, // asleep again: keep driving
+                    let (at, rounds) = match inner.run_step(node, ev.time) {
+                        Ok(Some(resumed)) => resumed,
+                        Ok(None) => continue, // asleep again: keep driving
+                        Err(payload) => {
+                            inner.nodes[node.0].state = NState::Done;
+                            let name = inner.nodes[node.0].name.clone();
+                            drop(inner);
+                            self.halt(Some(SimError::NodePanicked {
+                                node: name,
+                                message: panic_message(payload),
+                            }));
+                            return Drive::Shutdown;
                         }
-                    }
-                    drop(inner);
+                    };
+                    let resume = Resume { at, reason, rounds };
                     if me == Some(node) {
                         // The driver's own wake: resume in place, zero
                         // hand-offs, still holding the baton.
+                        drop(inner);
                         debug_assert!(
                             self.batons[node.0].held(),
                             "a self-resuming driver released its baton"
                         );
-                        return Drive::SelfRun(at, reason);
+                        return Drive::SelfRun(resume);
                     }
+                    inner.grants += 1;
+                    drop(inner);
                     // Release the driver's own baton before the grant: the
                     // granted node may drive next and grant it back.
                     if let Some(me) = me {
                         self.batons[me.0].release();
                     }
-                    self.batons[node.0].grant(at, reason);
+                    self.batons[node.0].grant(resume);
                     return Drive::Handed;
                 }
                 kind => exec_event(&mut inner, ev.time, ev.tie, kind),
@@ -836,6 +837,7 @@ struct Finished<W: Send + 'static> {
     st: GState,
     end_time: Time,
     wakes_coalesced: u64,
+    grants: u64,
 }
 
 impl<W: Send + 'static> Sim<W> {
@@ -861,6 +863,7 @@ impl<W: Send + 'static> Sim<W> {
             end_time: f.end_time,
             events: inner.events,
             wakes_coalesced: f.wakes_coalesced,
+            grants: f.grants,
             shards: Vec::new(),
             shards_requested: 0,
             sync_events: 0,
@@ -922,7 +925,8 @@ impl<W: Send + 'static> Sim<W> {
                     now: Time::ZERO,
                     sched,
                     nodes,
-                    steps: vec![None; num_nodes],
+                    steps: (0..num_nodes).map(|_| None).collect(),
+                    grants: 0,
                     events: 0,
                     sync_events: 0,
                     budget_left: self.event_budget,
@@ -963,23 +967,27 @@ impl<W: Send + 'static> Sim<W> {
                 .spawn(move || {
                     let mut ctx = NodeCtx::new(NodeId(i), num_nodes, seed, core.clone(), sid);
                     let baton = &core.batons[i];
+                    let done = || {
+                        let mut inner = core.shards[sid].inner.lock();
+                        inner.nodes[i].state = NState::Done;
+                        inner
+                    };
                     let out = catch_unwind(AssertUnwindSafe(|| {
-                        ctx.now = baton.wait_for_run().0;
+                        ctx.now = baton.wait_for_run().at;
                         program(&mut ctx);
-                        ctx.shared.note_done(NodeId(i));
                         // Stay on as the shard's driver: its queue may still
                         // hold events, and a drained shard must keep
                         // answering barriers (and executing any late
                         // inbound messages) until the run ends. No wake
                         // grants a finished node's baton again, so it needs
                         // no release.
-                        core.drive(sid, None);
+                        core.drive(sid, None, done());
                     }));
                     let Err(payload) = out else { return };
                     if payload.is::<ShutdownToken>() {
                         return; // orderly teardown
                     }
-                    ctx.shared.note_done(NodeId(i));
+                    drop(done());
                     core.halt(Some(SimError::NodePanicked {
                         node: name,
                         message: panic_message(payload),
@@ -998,7 +1006,7 @@ impl<W: Send + 'static> Sim<W> {
                 let boot = std::thread::Builder::new()
                     .name(format!("sp-sim-shard-{sid}"))
                     .spawn(move || {
-                        core.drive(sid, None);
+                        core.drive(sid, None, core.shards[sid].inner.lock());
                     })
                     .expect("spawn shard bootstrap thread");
                 handles.push(boot);
@@ -1006,7 +1014,7 @@ impl<W: Send + 'static> Sim<W> {
         } else {
             // No barrier to bootstrap: the calling thread drives up to the
             // first wake it grants.
-            core.drive(0, None);
+            core.drive(0, None, core.shards[0].inner.lock());
         }
 
         // Wait for completion (clean or failed) on the run's own condvar:
@@ -1063,11 +1071,13 @@ impl<W: Send + 'static> Sim<W> {
                 parked: stuck,
             });
         }
+        let grants = inners.iter().map(|i| i.grants).sum();
         Ok(Finished {
             inners,
             st,
             end_time,
             wakes_coalesced,
+            grants,
         })
     }
 }
@@ -1156,6 +1166,7 @@ impl<W: Shardable> Sim<W> {
             end_time: f.end_time,
             events,
             wakes_coalesced: f.wakes_coalesced,
+            grants: f.grants,
             shards: shard_reports,
             shards_requested: requested_shards,
             sync_events,
