@@ -34,10 +34,12 @@ pub fn write_metrics(path: &str, metrics: &[(String, f64)]) -> std::io::Result<(
 }
 
 /// Compare `metrics` against the `{"id":…,"value":…}` baseline at `path`,
-/// printing one line per baseline metric with ids padded to `width`. Every
-/// such metric is lower-is-better, and only an order-of-magnitude growth
-/// (10x) fails: returns `false` then. A missing baseline file skips the
-/// comparison (`true`); `label` names the bench in that message.
+/// printing one line per baseline metric with ids padded to `width`. The
+/// metrics are virtual-time figures, deterministic for a given build, so
+/// each must equal its baseline at the 3 decimals [`write_metrics`]
+/// writes, and every baseline metric must be in `metrics`: returns
+/// `false` otherwise. A missing baseline file skips the comparison
+/// (`true`); `label` names the bench in that message.
 pub fn compare_baseline(label: &str, width: usize, path: &str, metrics: &[(String, f64)]) -> bool {
     let base = match std::fs::read_to_string(path) {
         Ok(s) => s,
@@ -46,24 +48,25 @@ pub fn compare_baseline(label: &str, width: usize, path: &str, metrics: &[(Strin
             return true;
         }
     };
-    println!("\ncomparison vs baseline {path} (fail = metric grew 10x):");
+    println!("\ncomparison vs baseline {path} (fail = any difference):");
     let mut ok = true;
     for line in base.lines().filter(|l| !l.trim().is_empty()) {
         let (Some(id), Some(old)) = (json_string(line, "id"), json_number(line, "value")) else {
             continue;
         };
         let Some((_, cur)) = metrics.iter().find(|(i, _)| i == id) else {
-            println!("  {id:<width$} missing from current run");
+            println!("  {id:<width$} missing from current run  FAIL");
+            ok = false;
             continue;
         };
-        let ratio = if old > 0.0 { cur / old } else { 1.0 };
-        let verdict = if ratio > 10.0 {
+        let (old, cur) = (format!("{old:.3}"), format!("{cur:.3}"));
+        let verdict = if old == cur {
+            "ok"
+        } else {
             ok = false;
             "FAIL"
-        } else {
-            "ok"
         };
-        println!("  {id:<width$} base {old:>12.1}  cur {cur:>12.1}  x{ratio:<6.2} {verdict}");
+        println!("  {id:<width$} base {old:>14}  cur {cur:>14}  {verdict}");
     }
     ok
 }
@@ -102,19 +105,31 @@ mod tests {
     }
 
     #[test]
-    fn baseline_guard_fails_only_on_tenfold_growth() {
+    fn baseline_guard_requires_every_metric_equal_at_three_decimals() {
         let path =
             std::env::temp_dir().join(format!("sp-bench-metrics-{}.json", std::process::id()));
         let path = path.to_str().unwrap();
-        let base = vec![("a".to_string(), 100.0), ("b".to_string(), 0.0)];
+        let base = vec![("a".to_string(), 100.0), ("b".to_string(), 0.25)];
         write_metrics(path, &base).unwrap();
-        let within = vec![("a".to_string(), 999.0), ("b".to_string(), 5.0)];
-        assert!(compare_baseline("test", 8, path, &within));
-        let grown = vec![("a".to_string(), 1001.0)];
-        assert!(!compare_baseline("test", 8, path, &grown));
+        let m = |a: f64, b: f64| vec![("a".to_string(), a), ("b".to_string(), b)];
+        assert!(compare_baseline("test", 8, path, &m(100.0, 0.25)));
+        assert!(
+            compare_baseline("test", 8, path, &m(100.0004, 0.2501)),
+            "equal at 3 decimals"
+        );
+        assert!(
+            !compare_baseline("test", 8, path, &m(100.001, 0.25)),
+            "grew"
+        );
+        assert!(
+            !compare_baseline("test", 8, path, &m(99.999, 0.25)),
+            "shrank"
+        );
+        let missing = vec![("a".to_string(), 100.0)];
+        assert!(!compare_baseline("test", 8, path, &missing), "b missing");
         std::fs::remove_file(path).unwrap();
         assert!(
-            compare_baseline("test", 8, path, &grown),
+            compare_baseline("test", 8, path, &missing),
             "no baseline: skipped"
         );
     }

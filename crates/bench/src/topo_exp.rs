@@ -301,8 +301,8 @@ pub const FAULT_KILL_AT_NS: u64 = 150_000;
 pub fn fault_latency(quick: bool, t: &mut Tally) -> (FaultPoint, FaultPoint) {
     let iters = if quick { 12 } else { 32 };
     (
-        fault_run(RoutePolicy::RoundRobin, 8, iters, t),
-        fault_run(RoutePolicy::Adaptive, 8, iters, t),
+        fault_run(RoutePolicy::RoundRobin, 8, iters, 1, t),
+        fault_run(RoutePolicy::Adaptive, 8, iters, 1, t),
     )
 }
 
@@ -387,19 +387,15 @@ fn fault_machine(
 }
 
 /// One fault-latency run: the pinger machine with a `cable_kill` of
-/// lane 0 (both directions) scheduled at [`FAULT_KILL_AT_NS`].
-pub fn fault_run(policy: RoutePolicy, k: usize, iters: u32, t: &mut Tally) -> FaultPoint {
-    fault_run_sharded(policy, k, iters, 1, t)
-}
-
-/// [`fault_run`] on the conservative-parallel engine: the same dead-cable
-/// experiment sharded `shards` ways. The mid-run cable kill is broadcast
-/// to every shard and the per-link injectors classify at the cables'
-/// owning shard, so the measured round trips, drops, and digests match
-/// the one-shard run under either routing policy. They do here, though a
-/// kill at another instant can meet packets sent up to one lookahead
-/// before it (ROADMAP item 9); `topo --parallel N` checks this one.
-pub fn fault_run_sharded(
+/// lane 0 (both directions) scheduled at [`FAULT_KILL_AT_NS`], on
+/// `shards` conservative-parallel engine shards (1: the one-shard
+/// engine). The mid-run cable kill is broadcast to every shard and the
+/// per-link injectors classify at the cables' owning shard, so the
+/// measured round trips, drops, and digests match the one-shard run under
+/// either routing policy. They do here, though a kill at another instant
+/// can meet packets sent up to one lookahead before it (ROADMAP item 9);
+/// `topo --parallel N` checks this one.
+pub fn fault_run(
     policy: RoutePolicy,
     k: usize,
     iters: u32,

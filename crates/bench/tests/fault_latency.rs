@@ -11,8 +11,8 @@ use sp_switch::RoutePolicy;
 
 #[test]
 fn fault_run_terminates_and_policies_split() {
-    let rr = topo_exp::fault_run(RoutePolicy::RoundRobin, 4, 6, &mut Tally::default());
-    let ad = topo_exp::fault_run(RoutePolicy::Adaptive, 4, 6, &mut Tally::default());
+    let rr = topo_exp::fault_run(RoutePolicy::RoundRobin, 4, 6, 1, &mut Tally::default());
+    let ad = topo_exp::fault_run(RoutePolicy::Adaptive, 4, 6, 1, &mut Tally::default());
 
     // Both runs measured most of their rounds after the kill.
     assert!(rr.samples_after >= 12, "rr samples: {}", rr.samples_after);

@@ -15,7 +15,7 @@
 //!
 //! `--parallel N` runs each schedule sharded across N conservative-parallel
 //! engine shards. Outcomes and reports match one-shard runs (up to the
-//! mid-run world-event gap noted on `sp_chaos::run_sharded`), so
+//! mid-run world-event gap noted on `sp_chaos::run`), so
 //! reproducers recorded on one shard replay under `--parallel` and vice
 //! versa.
 
@@ -74,12 +74,8 @@ fn campaign(args: &[String]) -> ExitCode {
     if workloads.is_empty() {
         workloads = Workload::ALL.to_vec();
     }
-    let result = sp_chaos::run_campaign_sharded(
-        per_workload,
-        seed,
-        &workloads,
-        parallel,
-        |s, violations| {
+    let result =
+        sp_chaos::run_campaign(per_workload, seed, &workloads, parallel, |s, violations| {
             println!(
                 "[chaos] {} seed {} ({} events): {}",
                 s.workload.name(),
@@ -91,8 +87,7 @@ fn campaign(args: &[String]) -> ExitCode {
                     format!("{violations} VIOLATIONS")
                 }
             );
-        },
-    );
+        });
     println!(
         "[chaos] {} runs, {} failures",
         result.runs,
@@ -151,8 +146,8 @@ fn replay(args: &[String]) -> ExitCode {
     }
     let file = file.unwrap_or_else(|| die("replay needs a schedule file"));
     let text = std::fs::read_to_string(&file).unwrap_or_else(|e| die(&format!("read {file}: {e}")));
-    let rep = sp_chaos::replay_sharded(&text, parallel)
-        .unwrap_or_else(|e| die(&format!("parse {file}: {e}")));
+    let rep =
+        sp_chaos::replay(&text, parallel).unwrap_or_else(|e| die(&format!("parse {file}: {e}")));
     print!("{}", rep.report);
     if let Some(out) = trace_out {
         let traced = sp_chaos::run_traced(&rep.schedule);
@@ -173,7 +168,7 @@ fn replay(args: &[String]) -> ExitCode {
             let flight_path = format!("{file}.flight.json");
             std::fs::write(
                 &flight_path,
-                sp_chaos::run(&rep.schedule).flight.dump_json(),
+                sp_chaos::run(&rep.schedule, 1).flight.dump_json(),
             )
             .unwrap_or_else(|e| die(&format!("write {flight_path}: {e}")));
             eprintln!("[chaos] flight dump written to {flight_path}");

@@ -3,7 +3,7 @@
 //! reproducers, and exactly re-executable replay files.
 
 use crate::invariant::{check, report, Violation};
-use crate::run::{run_sharded, run_traced, RunOutcome};
+use crate::run::{run, run_traced, RunOutcome};
 use crate::schedule::{FaultEvent, Schedule, Workload};
 use crate::shrink::shrink;
 use rand::rngs::SmallRng;
@@ -19,16 +19,11 @@ pub struct Judged {
     pub report: String,
 }
 
-/// Run one schedule and judge it.
-pub fn judge(s: &Schedule) -> Judged {
-    judge_sharded(s, 1)
-}
-
-/// Run one schedule across `shards` conservative-parallel shards and
-/// judge it. Outcomes and reports are byte-identical to [`judge`] for
-/// any shard count.
-pub fn judge_sharded(s: &Schedule, shards: usize) -> Judged {
-    let outcome = run_sharded(s, shards);
+/// Run one schedule across `shards` conservative-parallel shards (1: the
+/// one-shard engine) and judge it. Outcomes and reports are
+/// byte-identical for any shard count.
+pub fn judge(s: &Schedule, shards: usize) -> Judged {
+    let outcome = run(s, shards);
     let violations = check(&outcome);
     let rep = report(&outcome, &violations);
     Judged {
@@ -66,22 +61,13 @@ pub struct CampaignResult {
 }
 
 /// Run `per_workload` seeded random schedules for each workload in
-/// `workloads`, shrinking every failure to a minimal reproducer.
-/// `progress` is called once per schedule with (schedule, violation count).
+/// `workloads`, each across `shards` conservative-parallel shards, and
+/// shrink every failure to a minimal reproducer. Judgements match a
+/// one-shard campaign for any shard count, up to the mid-run world-event
+/// gap of [`run`](crate::run()); shrinking of failures always happens on
+/// one shard. `progress` is called once per schedule with (schedule,
+/// violation count).
 pub fn run_campaign(
-    per_workload: usize,
-    base_seed: u64,
-    workloads: &[Workload],
-    progress: impl FnMut(&Schedule, usize),
-) -> CampaignResult {
-    run_campaign_sharded(per_workload, base_seed, workloads, 1, progress)
-}
-
-/// [`run_campaign`], with each schedule executed across `shards`
-/// conservative-parallel shards. Judgements match a one-shard campaign
-/// for any shard count, up to the mid-run world-event gap of
-/// [`run_sharded`]; shrinking of failures always happens on one shard.
-pub fn run_campaign_sharded(
     per_workload: usize,
     base_seed: u64,
     workloads: &[Workload],
@@ -95,7 +81,7 @@ pub fn run_campaign_sharded(
     for &w in workloads {
         for i in 0..per_workload {
             let s = random_schedule(w, base_seed.wrapping_add(i as u64));
-            let judged = judge_sharded(&s, shards);
+            let judged = judge(&s, shards);
             result.runs += 1;
             progress(&s, judged.violations.len());
             if !judged.violations.is_empty() {
@@ -108,8 +94,8 @@ pub fn run_campaign_sharded(
 
 /// Shrink a failing schedule and build its replay artifacts.
 pub fn package_failure(original: Schedule) -> Failure {
-    let shrunk = shrink(&original, |cand| !judge(cand).violations.is_empty());
-    let judged = judge(&shrunk);
+    let shrunk = shrink(&original, |cand| !judge(cand, 1).violations.is_empty());
+    let judged = judge(&shrunk, 1);
     let traced = run_traced(&shrunk);
     Failure {
         original,
@@ -172,20 +158,15 @@ impl Replay {
     }
 }
 
-/// Re-execute a schedule or reproducer file and judge it. Deterministic:
-/// replaying a reproducer reproduces the identical violation — same
-/// virtual times, same counters, same report bytes.
-pub fn replay(text: &str) -> Result<Replay, String> {
-    replay_sharded(text, 1)
-}
-
-/// [`replay`], executed across `shards` conservative-parallel shards.
-/// Replay determinism holds across shard counts: a reproducer recorded
-/// from a serial run matches byte-for-byte when replayed sharded (and
-/// vice versa).
-pub fn replay_sharded(text: &str, shards: usize) -> Result<Replay, String> {
+/// Re-execute a schedule or reproducer file across `shards`
+/// conservative-parallel shards and judge it. Deterministic: replaying a
+/// reproducer reproduces the identical violation — same virtual times,
+/// same counters, same report bytes — and at any shard count, so a
+/// reproducer recorded from a one-shard run matches byte-for-byte when
+/// replayed sharded (and vice versa).
+pub fn replay(text: &str, shards: usize) -> Result<Replay, String> {
     let schedule = Schedule::parse(text)?;
-    let judged = judge_sharded(&schedule, shards);
+    let judged = judge(&schedule, shards);
     Ok(Replay {
         schedule,
         report: judged.report,

@@ -37,12 +37,11 @@ mod schedule;
 mod shrink;
 
 pub use campaign::{
-    embedded_report, judge, judge_sharded, package_failure, random_schedule, replay,
-    replay_sharded, repro_text, run_campaign, run_campaign_sharded, CampaignResult, Failure,
-    Judged, Replay, EXPECT_PREFIX,
+    embedded_report, judge, package_failure, random_schedule, replay, repro_text, run_campaign,
+    CampaignResult, Failure, Judged, Replay, EXPECT_PREFIX,
 };
 pub use invariant::{check, report, Violation};
-pub use run::{run, run_sharded, run_traced, NodeEnd, RunOutcome, EVENT_BUDGET};
+pub use run::{run, run_traced, NodeEnd, RunOutcome, EVENT_BUDGET};
 pub use schedule::{parse_policy, policy_name, FaultEvent, Schedule, Workload};
 pub use sp_am::ReliabilityConfig;
 pub use sp_switch::RoutePolicy;

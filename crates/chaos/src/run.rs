@@ -94,25 +94,21 @@ struct ChaosSt {
     crash_next: usize,
 }
 
-/// Execute `schedule` and collect the outcome.
-pub fn run(schedule: &Schedule) -> RunOutcome {
-    run_inner(schedule, false, 1)
-}
-
-/// Execute `schedule` sharded across `shards` conservative-parallel
-/// engine shards, under either routing policy. Fault classification
-/// happens at each packet's owning shard, so outcomes (and the formatted
-/// invariant report) match the one-shard [`run`] for any shard count,
-/// with one known gap: a scheduled event that changes the fabric mid-run
-/// (a cable kill, say) reaches packets sent up to one lookahead before it
-/// (ROADMAP item 9). The pinned schedules replay byte-identically.
-pub fn run_sharded(schedule: &Schedule, shards: usize) -> RunOutcome {
+/// Execute `schedule` across `shards` conservative-parallel engine
+/// shards (1: the one-shard engine) and collect the outcome, under either
+/// routing policy. Fault classification happens at each packet's owning
+/// shard, so outcomes (and the formatted invariant report) match one
+/// shard's for any shard count, with one known gap: a scheduled event that
+/// changes the fabric mid-run (a cable kill, say) reaches packets sent up
+/// to one lookahead before it (ROADMAP item 9). The pinned schedules
+/// replay byte-identically.
+pub fn run(schedule: &Schedule, shards: usize) -> RunOutcome {
     run_inner(schedule, false, shards)
 }
 
-/// Execute `schedule` with tracing enabled and attach the Chrome trace.
-/// Tracing is virtual-time-invariant, so the outcome is otherwise
-/// identical to [`run`].
+/// Execute `schedule` on one shard with tracing enabled and attach the
+/// Chrome trace. Tracing is virtual-time-invariant, so the outcome is
+/// otherwise identical to [`run`]'s.
 pub fn run_traced(schedule: &Schedule) -> RunOutcome {
     run_inner(schedule, true, 1)
 }

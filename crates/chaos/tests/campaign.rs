@@ -4,8 +4,8 @@
 //! shipped schedules behave as pinned.
 
 use sp_chaos::{
-    judge, judge_sharded, package_failure, replay, replay_sharded, repro_text, run_campaign,
-    FaultEvent, ReliabilityConfig, RoutePolicy, Schedule, Workload,
+    judge, package_failure, replay, repro_text, run_campaign, FaultEvent, ReliabilityConfig,
+    RoutePolicy, Schedule, Workload,
 };
 
 /// Keep-alive disabled plus a drop of the final reply packet (index
@@ -26,7 +26,7 @@ fn demo_schedule() -> Schedule {
 
 #[test]
 fn keepalive_off_tail_drop_shrinks_and_replays_byte_for_byte() {
-    let judged = judge(&demo_schedule());
+    let judged = judge(&demo_schedule(), 1);
     assert!(
         judged
             .violations
@@ -50,7 +50,7 @@ fn keepalive_off_tail_drop_shrinks_and_replays_byte_for_byte() {
 
     // The replay file re-executes to the identical violation: same virtual
     // times, same counters, same report bytes.
-    let rep = replay(&f.repro).expect("reproducer must parse");
+    let rep = replay(&f.repro, 1).expect("reproducer must parse");
     assert_eq!(rep.matches(), Some(true), "replay drifted:\n{}", rep.report);
     assert!(f.report.contains("V incomplete-delivery"));
     assert!(
@@ -63,7 +63,7 @@ fn keepalive_off_tail_drop_shrinks_and_replays_byte_for_byte() {
 fn same_fault_with_keepalive_recovers() {
     let mut s = demo_schedule();
     s.keepalive_polls = 64;
-    let judged = judge(&s);
+    let judged = judge(&s, 1);
     assert!(
         judged.violations.is_empty(),
         "keep-alive must restart the lost tail: {:?}",
@@ -73,7 +73,7 @@ fn same_fault_with_keepalive_recovers() {
 
 #[test]
 fn smoke_campaign_is_green() {
-    let result = run_campaign(3, 9000, &Workload::ALL, |_, _| {});
+    let result = run_campaign(3, 9000, &Workload::ALL, 1, |_, _| {});
     assert_eq!(result.runs, 12);
     let reports: Vec<&str> = result.failures.iter().map(|f| f.report.as_str()).collect();
     assert!(
@@ -87,7 +87,7 @@ fn smoke_campaign_is_green() {
 fn fabric_duplicates_surface_in_outcome_counters() {
     let mut s = Schedule::new(Workload::Streaming);
     s.events = vec![FaultEvent::DupIndex(0), FaultEvent::DupIndex(2)];
-    let j = judge(&s);
+    let j = judge(&s, 1);
     assert!(j.violations.is_empty(), "{:?}", j.violations);
     assert_eq!(j.outcome.switch.duplicated, 2);
     let dup_dropped: u64 = j.outcome.nodes.iter().map(|n| n.stats.dup_dropped).sum();
@@ -115,7 +115,7 @@ fn multi_frame_adaptive_campaign_survives_drop_and_delay_windows() {
                 until_ns: 3_000_000,
             },
         ];
-        let j = judge(&s);
+        let j = judge(&s, 1);
         assert!(
             j.violations.is_empty(),
             "{} under adaptive multi-frame faults: {:?}",
@@ -146,7 +146,7 @@ fn killing_one_cable_of_a_frame_pair_still_quiesces() {
             to: 1,
             lane: 0,
         }];
-        let j = judge(&s);
+        let j = judge(&s, 1);
         assert!(
             j.violations.is_empty(),
             "{policy:?} with a dead cable: {:?}",
@@ -194,7 +194,7 @@ fn topology_aware_failing_schedule_shrinks_to_one_event() {
     );
     assert!(f.repro.contains("frames 3\n"));
     assert!(f.repro.contains("route_policy adaptive\n"));
-    let rep = replay(&f.repro).expect("reproducer must parse");
+    let rep = replay(&f.repro, 1).expect("reproducer must parse");
     assert_eq!(rep.matches(), Some(true), "replay drifted:\n{}", rep.report);
 }
 
@@ -224,7 +224,7 @@ fn crash_schedule() -> Schedule {
 
 #[test]
 fn crash_restart_recovers_exactly_once_and_reports_recovery() {
-    let j = judge(&crash_schedule());
+    let j = judge(&crash_schedule(), 1);
     assert!(
         j.violations.is_empty(),
         "crash/restart must recover over the lossless tail: {:?}",
@@ -260,7 +260,7 @@ fn healed_partition_quiesces_exactly_once() {
         from_ns: 200_000,
         until_ns: 900_000,
     }];
-    let j = judge(&s);
+    let j = judge(&s, 1);
     assert!(
         j.violations.is_empty(),
         "healed partition must end exactly-once: {:?}",
@@ -298,7 +298,7 @@ fn splitc_partition_straddling_the_quiet_tail_completes() {
             until_ns: 3_081_407,
         },
     ];
-    let j = judge(&s);
+    let j = judge(&s, 1);
     assert!(
         j.violations.is_empty(),
         "healed partition + dead cable must still complete: {:?}",
@@ -318,10 +318,10 @@ fn splitc_partition_straddling_the_quiet_tail_completes() {
 #[test]
 fn crash_schedule_replays_byte_identically_across_shards() {
     let s = crash_schedule();
-    let serial = judge(&s);
+    let serial = judge(&s, 1);
     assert!(serial.violations.is_empty(), "{:?}", serial.violations);
     for shards in [2, 4] {
-        let sharded = judge_sharded(&s, shards);
+        let sharded = judge(&s, shards);
         assert_eq!(
             serial.report, sharded.report,
             "crash/restart run diverged at {shards} shards"
@@ -332,10 +332,10 @@ fn crash_schedule_replays_byte_identically_across_shards() {
 #[test]
 fn replay_under_a_different_reliability_config_fails_loudly() {
     let s = crash_schedule();
-    let j = judge(&s);
+    let j = judge(&s, 1);
     assert!(j.violations.is_empty(), "{:?}", j.violations);
     let repro = repro_text(&s, &j.report);
-    let faithful = replay(&repro).expect("reproducer must parse");
+    let faithful = replay(&repro, 1).expect("reproducer must parse");
     assert_eq!(faithful.matches(), Some(true));
 
     // Strip the reliability directive: same schedule, legacy config. The
@@ -346,7 +346,7 @@ fn replay_under_a_different_reliability_config_fails_loudly() {
         .filter(|l| !l.starts_with("reliability "))
         .map(|l| format!("{l}\n"))
         .collect();
-    let rep = replay(&tampered).expect("tampered reproducer still parses");
+    let rep = replay(&tampered, 1).expect("tampered reproducer still parses");
     assert_eq!(
         rep.matches(),
         Some(false),
@@ -362,14 +362,14 @@ fn replay_under_a_different_reliability_config_fails_loudly() {
 #[test]
 fn pinned_crash_schedule_replays_serial_and_sharded() {
     let text = include_str!("../schedules/crash.sched");
-    let rep = replay(text).unwrap();
+    let rep = replay(text, 1).unwrap();
     assert_eq!(
         rep.matches(),
         Some(true),
         "crash/restart behaviour drifted under the pinned schedule:\n{}",
         rep.report
     );
-    let rep4 = replay_sharded(text, 4).unwrap();
+    let rep4 = replay(text, 4).unwrap();
     assert_eq!(
         rep4.matches(),
         Some(true),
@@ -380,7 +380,7 @@ fn pinned_crash_schedule_replays_serial_and_sharded() {
 
 #[test]
 fn shipped_example_schedule_passes() {
-    let rep = replay(include_str!("../schedules/example.sched")).unwrap();
+    let rep = replay(include_str!("../schedules/example.sched"), 1).unwrap();
     assert!(
         rep.report.contains("\nviolations 0\n"),
         "example schedule must recover:\n{}",
@@ -390,7 +390,7 @@ fn shipped_example_schedule_passes() {
 
 #[test]
 fn pinned_nasty_schedule_report_is_stable() {
-    let rep = replay(include_str!("../schedules/nasty.sched")).unwrap();
+    let rep = replay(include_str!("../schedules/nasty.sched"), 1).unwrap();
     assert_eq!(
         rep.matches(),
         Some(true),
@@ -408,10 +408,10 @@ fn pinned_partition_tail_schedules_replay_serial_and_sharded() {
         include_str!("../schedules/partition-tail-streaming.sched"),
         include_str!("../schedules/partition-tail-splitc.sched"),
     ] {
-        let rep = replay(text).unwrap();
+        let rep = replay(text, 1).unwrap();
         assert_eq!(rep.matches(), Some(true), "drifted:\n{}", rep.report);
         assert!(rep.report.contains("\nviolations 0\n"), "{}", rep.report);
-        let rep4 = replay_sharded(text, 4).unwrap();
+        let rep4 = replay(text, 4).unwrap();
         assert_eq!(rep4.matches(), Some(true), "--parallel 4:\n{}", rep4.report);
     }
 }

@@ -18,7 +18,7 @@ proptest! {
         // closing windows, bounded stalls/pauses, healed partitions,
         // restarting crashes) with keep-alive on.
         let s = random_schedule(Workload::ALL[w], seed);
-        let judged = judge(&s);
+        let judged = judge(&s, 1);
         if !judged.violations.is_empty() {
             let f = package_failure(s);
             return Err(format!(
@@ -55,7 +55,7 @@ proptest! {
             },
             FaultEvent::Crash { node: 1, at_ns, down_ns },
         ];
-        let judged = judge(&s);
+        let judged = judge(&s, 1);
         if !judged.violations.is_empty() {
             let f = package_failure(s);
             return Err(format!(

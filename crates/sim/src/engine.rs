@@ -5,7 +5,6 @@
 
 use crate::node::{NodeCtx, WakeReason};
 use crate::time::{Dur, Time};
-use parking_lot::Mutex;
 use sp_trace::{Kind as TraceKind, Tracer, Track};
 use std::any::Any;
 use std::cmp::Ordering;
@@ -73,13 +72,16 @@ pub(crate) enum EvKind<W: Send + 'static> {
     /// heap entry. Used by recurring hardware events (firmware steps, packet
     /// delivery) on the hot path.
     Hot { f: HotFn<W>, a: u64, b: u64 },
-    /// Parallel-mode sibling of [`EvKind::Call`]: an inter-shard message
-    /// applied as an event on the destination shard. Executes identically to
-    /// `Call` but is charged to `sync_events` instead of `events`, so a
-    /// parallel run reports the same `events` as its serial twin and the
+    /// Parallel-mode sibling of [`EvKind::Call`]: a broadcast world
+    /// event's replica on a shard other than shard 0 (see
+    /// [`Sim::schedule_call_at`]). Executes identically to `Call` but is
+    /// charged to `sync_events` instead of `events`, so a parallel run
+    /// reports the same `events` as its serial twin and the
     /// synchronization overhead stays separately observable.
     SyncCall(EventFn<W>),
-    /// Parallel-mode sibling of [`EvKind::Hot`] (see [`EvKind::SyncCall`]).
+    /// Parallel-mode sibling of [`EvKind::Hot`] (see [`EvKind::SyncCall`]):
+    /// an inter-shard message applied on its destination shard, queued by
+    /// the window barrier.
     SyncHot { f: HotFn<W>, a: u64, b: u64 },
 }
 
@@ -248,9 +250,6 @@ pub(crate) struct ShardSlot {
     pub(crate) id: usize,
     /// Node→shard ownership map shared by all shards.
     pub(crate) owner: Arc<Vec<usize>>,
-    /// Unparks aimed at nodes owned by other shards, deferred to the next
-    /// window barrier (timestamped with the local clock at call time).
-    pub(crate) remote_unparks: Vec<(NodeId, Time)>,
     /// True while a broadcast world event (a [`Sim::schedule_call_at`]
     /// replica, pre-loaded into every shard) is executing. In that mode
     /// unparks aimed at non-owned nodes are dropped — the owning shard's own
@@ -397,6 +396,18 @@ impl<W: Send + 'static> Inner<W> {
         std::mem::take(&mut self.nodes[id.0].signal)
     }
 
+    /// Unpark node `target` at `now` (see [`unpark_inner`]).
+    pub(crate) fn unpark(&mut self, target: NodeId, now: Time) {
+        unpark_inner(
+            &mut self.sched,
+            &mut self.nodes,
+            &self.shard,
+            target,
+            now,
+            &self.tracer,
+        );
+    }
+
     /// Mark running node `id` parked until an unpark wakes it.
     pub(crate) fn note_park(&mut self, id: NodeId) {
         if let Some(t) = &self.tracer {
@@ -411,32 +422,27 @@ impl<W: Send + 'static> Inner<W> {
     }
 }
 
-/// One shard's engine state, shared by the threads that take turns driving
-/// it. All access is serialized both by the mutex and, more fundamentally,
-/// by the baton discipline (one thread per shard executes at a time).
-pub(crate) struct Shared<W: Send + 'static> {
-    pub(crate) inner: Mutex<Inner<W>>,
-}
-
+/// Unpark node `target` at `now` on the shard whose queue, node states and
+/// slot these are. Shards meet only through the world's timestamped
+/// messages, which carry the lookahead; an unpark takes effect at once and
+/// carries none, so unparking a node another shard owns panics (failing
+/// the run as a node panic). The one exception is a broadcast world event
+/// ([`Sim::schedule_call_at`]): it runs as a replica on every shard, and
+/// the owner's replica delivers the unpark, so the others skip it.
 pub(crate) fn unpark_inner<W: Send + 'static>(
     sched: &mut Sched<W>,
     nodes: &mut [NodeMeta],
-    shard: &mut Option<ShardSlot>,
+    shard: &Option<ShardSlot>,
     target: NodeId,
     now: Time,
     tracer: &Option<Tracer>,
 ) {
     if let Some(s) = shard {
         if s.owner[target.0] != s.id {
-            if s.broadcast {
-                // Broadcast world events run as a replica on every shard;
-                // the owner's replica unparks this node locally, so a
-                // cross-shard deferral here would deliver it twice.
-                return;
-            }
-            // Cross-shard unpark: defer to the window barrier, which applies
-            // it on the owning shard at `max(now, that shard's clock)`.
-            s.remote_unparks.push((target, now));
+            assert!(
+                s.broadcast,
+                "cross-shard unpark of {target}: shards interact only through world messages"
+            );
             return;
         }
     }
@@ -480,28 +486,6 @@ pub(crate) fn unpark_inner<W: Send + 'static>(
             meta.signal = true;
         }
         NState::Done => {}
-    }
-}
-
-impl<W: Send + 'static> Shared<W> {
-    pub(crate) fn with_world<R>(&self, f: impl FnOnce(&mut W) -> R) -> R {
-        f(&mut self.inner.lock().world)
-    }
-
-    pub(crate) fn schedule(&self, at: Time, tie: Tie, kind: EvKind<W>) {
-        self.inner.lock().sched.push(at, tie, kind);
-    }
-
-    pub(crate) fn unpark(&self, target: NodeId, now: Time) {
-        let inner = &mut *self.inner.lock();
-        unpark_inner(
-            &mut inner.sched,
-            &mut inner.nodes,
-            &mut inner.shard,
-            target,
-            now,
-            &inner.tracer,
-        );
     }
 }
 
@@ -622,24 +606,15 @@ impl<'a, W: Send + 'static> EventCtx<'a, W> {
         }
     }
 
-    /// Schedule an allocation-free *synchronization* event at absolute time
-    /// `at` (clamped to now): executes exactly like
-    /// [`EventCtx::schedule_hot_at`] but is charged to the run's
-    /// `sync_events` counter instead of `events`. Parallel-mode world models
-    /// use this for the local leg of a lookahead-shifted hand-off so the
-    /// shift stays invisible in the serial-comparable event count.
-    pub fn schedule_sync_hot_at(&mut self, at: Time, f: HotFn<W>, a: u64, b: u64) {
-        let at = at.max(self.now);
-        self.sched
-            .push(at, Tie::unranked(self.now), EvKind::SyncHot { f, a, b });
-    }
-
     /// This shard's slot in a sharded run (`None` in a one-shard run).
     pub(crate) fn shard_slot(&mut self) -> Option<&mut ShardSlot> {
         self.shard.as_mut()
     }
 
     /// Unpark a node program (see [`NodeCtx::unpark`](crate::NodeCtx::unpark)).
+    /// In a sharded run the target must be owned by this event's shard,
+    /// except in a [`Sim::schedule_call_at`] closure: any other unpark
+    /// across shards panics, and the run fails as a node panic.
     pub fn unpark(&mut self, target: NodeId) {
         unpark_inner(
             self.sched,
@@ -649,27 +624,6 @@ impl<'a, W: Send + 'static> EventCtx<'a, W> {
             self.now,
             self.tracer,
         );
-    }
-}
-
-/// Barrier-replayed cross-shard unpark (see `SyncCore::barrier` in the
-/// parallel module). If a wake for `target` is already in flight on this
-/// shard, re-queue behind it (same time, later sequence number) so this
-/// unpark lands only after the target consumed the earlier wake — the
-/// serial interleaving always runs the target between two of its unparks.
-/// Coalescing here (the right behavior for racing *local* unparks) would
-/// lose a wake the serial run delivers and deadlock the target.
-pub(crate) fn replay_unpark<W: Send + 'static>(e: &mut EventCtx<'_, W>, target: NodeId) {
-    let meta = &e.nodes[target.0];
-    let wake_in_flight = meta.state == NState::Parked && meta.unpark_queued;
-    if wake_in_flight {
-        e.sched.push(
-            e.now,
-            Tie::unranked(e.now),
-            EvKind::sync_call(move |e| replay_unpark(e, target)),
-        );
-    } else {
-        e.unpark(target);
     }
 }
 
@@ -911,9 +865,6 @@ pub struct SimReport<W> {
     /// Conservative lookahead windows (barrier rounds) the parallel run
     /// used. Zero for serial runs.
     pub windows: u64,
-    /// Unparks that crossed a shard boundary and were applied at a window
-    /// barrier. Zero for serial runs.
-    pub cross_unparks: u64,
     /// PDES profile of a parallel run (window utilization, load imbalance,
     /// sync overhead). `None` for serial runs.
     pub profile: Option<ShardProfile>,

@@ -19,7 +19,7 @@
 //! while the granter still held the mutex would wake only to block on it,
 //! and one handoff would enter the kernel twice.
 
-use crate::engine::{EvKind, Inner, NodeId, Shared, Step, StepFn, Tie};
+use crate::engine::{EvKind, Inner, NodeId, Step, StepFn, Tie};
 use crate::parallel::Core;
 use crate::time::{Dur, Time};
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -159,7 +159,6 @@ pub struct NodeCtx<W: Send + 'static> {
     pub(crate) id: NodeId,
     pub(crate) num_nodes: usize,
     pub(crate) now: Time,
-    pub(crate) shared: Arc<Shared<W>>,
     pub(crate) rng: SmallRng,
     /// The run this node belongs to and the shard it drives on yield.
     pub(crate) core: Arc<Core<W>>,
@@ -180,7 +179,6 @@ impl<W: Send + 'static> NodeCtx<W> {
             id,
             num_nodes,
             now: Time::ZERO,
-            shared: core.shards[shard].clone(),
             rng: SmallRng::seed_from_u64(node_seed),
             core,
             shard,
@@ -286,7 +284,7 @@ impl<W: Send + 'static> NodeCtx<W> {
     /// wake, and drive; one shard-lock acquire per yield. Returns the
     /// rounds `then` ran.
     fn advance_with(&mut self, d: Dur, then: Option<Step<W>>) -> u64 {
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.core.shards[self.shard].lock();
         inner.sleep(self.id, self.now + d);
         inner.steps[self.id.0] = then;
         let resume = self.yield_and_drive(inner);
@@ -302,7 +300,7 @@ impl<W: Send + 'static> NodeCtx<W> {
     /// [`NodeCtx::advance`]; to fold an advance *before* the world access
     /// into the same yield, see [`NodeCtx::advance_then`].
     pub fn world_then_advance<R>(&mut self, f: impl FnOnce(&mut W) -> (R, Dur)) -> R {
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.core.shards[self.shard].lock();
         let (r, d) = f(&mut inner.world);
         self.now = match inner.charge(self.id, d) {
             Some(t) => t,
@@ -315,7 +313,7 @@ impl<W: Send + 'static> NodeCtx<W> {
     /// Consecutive unparks coalesce (as with `std::thread::park`). Returns
     /// immediately if a signal is already pending.
     pub fn park(&mut self) -> WakeReason {
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.core.shards[self.shard].lock();
         if inner.take_signal(self.id) {
             return WakeReason::Unparked;
         }
@@ -326,15 +324,18 @@ impl<W: Send + 'static> NodeCtx<W> {
     }
 
     /// Unpark node `target`: if it is parked it becomes runnable *now*;
-    /// otherwise the signal is latched for its next park.
+    /// otherwise the signal is latched for its next park. In a sharded run
+    /// the target must share this node's shard: nodes on different shards
+    /// interact only through the world's messages, so an unpark across
+    /// shards panics and the run fails as this node's panic.
     pub fn unpark(&mut self, target: NodeId) {
-        self.shared.unpark(target, self.now);
+        self.core.shards[self.shard].lock().unpark(target, self.now);
     }
 
     /// Access the shared world state (the simulated hardware). No virtual
     /// time is charged; pair with [`NodeCtx::advance`] to model cost.
     pub fn world<R>(&self, f: impl FnOnce(&mut W) -> R) -> R {
-        self.shared.with_world(f)
+        f(&mut self.core.shards[self.shard].lock().world)
     }
 
     /// Schedule `f` to run as an engine event `after` from now.
@@ -343,8 +344,11 @@ impl<W: Send + 'static> NodeCtx<W> {
         after: Dur,
         f: impl FnOnce(&mut crate::engine::EventCtx<'_, W>) + Send + 'static,
     ) {
-        self.shared
-            .schedule(self.now + after, Tie::unranked(self.now), EvKind::call(f));
+        self.core.shards[self.shard].lock().sched.push(
+            self.now + after,
+            Tie::unranked(self.now),
+            EvKind::call(f),
+        );
     }
 
     /// Schedule an allocation-free event `after` from now (see
@@ -367,8 +371,11 @@ impl<W: Send + 'static> NodeCtx<W> {
             gen: self.now,
             rank,
         };
-        self.shared
-            .schedule(self.now + after, tie, EvKind::Hot { f, a, b });
+        self.core.shards[self.shard].lock().sched.push(
+            self.now + after,
+            tie,
+            EvKind::Hot { f, a, b },
+        );
     }
 }
 

@@ -37,12 +37,17 @@
 //! "from the past" — the classic null-message/conservative PDES argument,
 //! with the per-window barrier standing in for per-link null messages.
 //!
-//! Cross-shard interactions are timestamped [`ShardMsg`]s: generated inside
-//! a window, collected at the next barrier ([`Shardable::take_messages`]),
-//! and applied on the destination shard as `sync` events
-//! ([`Shardable::apply_msg`]) ordered by `(timestamp, tie, source shard)`
-//! — the world-provided [`Tie`] stamp reproduces the one-shard run's
-//! same-instant event order across shards.
+//! Shards interact only through timestamped [`ShardMsg`]s: generated
+//! inside a window, collected at the next barrier
+//! ([`Shardable::take_messages`]), and applied on the destination shard as
+//! `sync` events ([`Shardable::apply_msg`]) ordered by `(timestamp, tie,
+//! source shard)` — the world-provided [`Tie`] stamp reproduces the
+//! one-shard run's same-instant event order across shards. A message
+//! carries the lookahead; an unpark takes effect at once and carries none,
+//! so a node or event that unparks a node of another shard panics and
+//! fails the run ([`NodeCtx::unpark`]). The one exception is a broadcast
+//! world event ([`Sim::schedule_call_at`]), whose replica on the target's
+//! shard delivers the unpark while the other replicas skip it.
 //! Sync events are charged to a separate `sync_events` counter so a
 //! sharded run reports the *same* `events` as its one-shard twin and the
 //! synchronization overhead stays observable ([`SimReport::sync_events`],
@@ -108,15 +113,14 @@
 //! shards, every hand-off is timestamped and applied in `(timestamp, tie,
 //! source shard)` order at a barrier whose placement depends only on
 //! virtual time — never on OS scheduling. Runs are therefore reproducible
-//! for a fixed `(config, seed, num_shards)`. For workloads whose
-//! cross-shard interactions are the world's own hand-offs (packets), and
-//! whose same-instant hand-offs from different shards carry different
-//! ties, end time, event count, and world state match the one-shard run
-//! exactly — see `tests/parallel.rs` and the proptest equivalence suite.
+//! for a fixed `(config, seed, num_shards)`. For worlds whose same-instant
+//! hand-offs from different shards carry different ties, end time, event
+//! count, and world state match the one-shard run exactly — see
+//! `tests/parallel.rs` and the proptest equivalence suite.
 
 use crate::engine::{
     broadcast_kind, exec_event, EvKind, EventCtx, Inner, NState, NodeId, NodeMeta, Sched,
-    ShardProfile, ShardReport, ShardSlot, Shared, Sim, SimReport, Tie,
+    ShardProfile, ShardReport, ShardSlot, Sim, SimReport, Tie,
 };
 use crate::error::SimError;
 use crate::node::{Baton, Drive, NodeCtx, Resume, ShutdownToken, WakeReason};
@@ -165,6 +169,8 @@ pub struct ShardMsg<M> {
 /// the run each slice buffers outbound [`ShardMsg`]s which the barrier
 /// collects (`take_messages`) and applies on the destination slice
 /// (`apply_msg`); `merge` reassembles the final world for the report.
+/// These messages are the only way one shard's nodes and events reach
+/// another's: an unpark across shards fails the run.
 pub trait Shardable: Send + Sized + 'static {
     /// Inter-shard message payload.
     type Msg: Send + 'static;
@@ -195,10 +201,11 @@ pub trait Shardable: Send + Sized + 'static {
     fn take_messages(&mut self, out: &mut Vec<ShardMsg<Self::Msg>>);
 }
 
-/// The trivial world shards into nothing: no cross-shard interactions, so
-/// the lookahead is unbounded and a parallel run needs exactly one window.
-/// Used by engine-only workloads (benchmarks, tests) whose nodes interact
-/// purely through park/unpark within their own shard.
+/// The trivial world shards into nothing: it sends no messages, so shards
+/// never interact, the lookahead is unbounded and a parallel run needs
+/// exactly one window. Used by engine-only workloads (benchmarks, tests)
+/// whose nodes interact purely through park/unpark within their own
+/// shard; an unpark of a node on another shard fails the run.
 impl Shardable for () {
     type Msg = ();
     fn lookahead(&self) -> Dur {
@@ -289,25 +296,25 @@ impl<M: Send + 'static> Slab<M> {
 /// every shard at the barrier: move all shards' outbound messages into
 /// their destinations' slabs and queues, and lower each receiving shard's
 /// `next` event time to match. The mail is a `Mail<W::Msg>`.
-type Deliver<W> = fn(&mut (dyn Any + Send), &[Arc<Shared<W>>], &mut [Option<Time>]);
+type Deliver<W> = fn(&mut (dyn Any + Send), &[Mutex<Inner<W>>], &mut [Option<Time>]);
 
 fn deliver<W: Shardable>(
     mail: &mut (dyn Any + Send),
-    shards: &[Arc<Shared<W>>],
+    shards: &[Mutex<Inner<W>>],
     next: &mut [Option<Time>],
 ) {
     let Mail { out, inbox } = mail
         .downcast_mut::<Mail<W::Msg>>()
         .expect("barrier mail matches the world's message type");
     for src in shards {
-        W::take_messages(&mut src.inner.lock().world, out);
+        W::take_messages(&mut src.lock().world, out);
         // A source's messages mostly share a destination: lock it once
         // per run of them.
         let mut dst: Option<(usize, MutexGuard<'_, Inner<W>>)> = None;
         for m in out.drain(..) {
             if dst.as_ref().map(|(d, _)| *d) != Some(m.dst_shard) {
                 drop(dst.take());
-                dst = Some((m.dst_shard, shards[m.dst_shard].inner.lock()));
+                dst = Some((m.dst_shard, shards[m.dst_shard].lock()));
             }
             let (d, inner) = dst.as_mut().expect("destination locked");
             let shard = inner.shard.as_mut().expect("a sharded run's shard");
@@ -325,7 +332,7 @@ fn deliver<W: Shardable>(
         // keys hold sources in ascending order, so the source shard
         // breaks remaining ties, then each source's generation order.
         keys.sort_by_key(|&(ts, tie, _)| (ts, tie));
-        let inner = &mut *shards[dst].inner.lock();
+        let inner = &mut *shards[dst].lock();
         // Applied messages queue in sorted order: one shared tie, so the
         // insertion sequence decides among them.
         let gen = Tie::unranked(inner.now);
@@ -357,9 +364,6 @@ struct GState {
     /// The barrier's message buffers: a `Mail` of the world's message
     /// type, read by [`Core::deliver`].
     mail: Box<dyn Any + Send>,
-    /// Per-destination-shard deferred cross-shard unparks:
-    /// `(target, ts, src_shard)`.
-    unparks: Vec<Vec<(NodeId, Time, usize)>>,
     /// Each shard's earliest pending event time as of its latest barrier
     /// arrival (`None` = queue drained).
     next: Vec<Option<Time>>,
@@ -372,8 +376,6 @@ struct GState {
     round: u64,
     /// Completed lookahead windows.
     windows: u64,
-    /// Cross-shard unparks applied at barriers.
-    cross_unparks: u64,
     /// Start of the window currently open (the barrier's minimum
     /// next-event time `M`). Equal to `window_horizon` before round 1.
     window_start: Time,
@@ -399,13 +401,11 @@ impl GState {
     fn new(num_shards: usize, mail: Box<dyn Any + Send>) -> Self {
         GState {
             mail,
-            unparks: (0..num_shards).map(|_| Vec::new()).collect(),
             next: vec![None; num_shards],
             arrived: 0,
             sleepers: 0,
             round: 0,
             windows: 0,
-            cross_unparks: 0,
             window_start: Time::ZERO,
             window_horizon: Time::ZERO,
             arrive: vec![Arrive::default(); num_shards],
@@ -420,11 +420,12 @@ impl GState {
 }
 
 /// Everything the drive loops of one run share: the per-shard engines,
-/// every node's baton, the ownership map, and the barrier.
+/// every node's baton, and the barrier. A shard's engine is locked by
+/// the one thread that drives it at a time, and by the last arriver at a
+/// barrier, while every driver waits there.
 pub(crate) struct Core<W: Send + 'static> {
-    pub(crate) shards: Vec<Arc<Shared<W>>>,
+    pub(crate) shards: Vec<Mutex<Inner<W>>>,
     pub(crate) batons: Vec<Arc<Baton>>,
-    owner: Arc<Vec<usize>>,
     lookahead: Dur,
     /// Moves the messages in [`GState::mail`] (see [`Deliver`]).
     deliver: Deliver<W>,
@@ -544,24 +545,15 @@ impl<W: Send + 'static> Core<W> {
         }
     }
 
-    /// Arrive at the window barrier with this shard's deferred unparks,
-    /// next-event time, and profiling snapshot. (Its outbound messages
-    /// stay in its world slice until the last arriver delivers them.)
-    /// Returns `true` to continue into the next window, `false` when the
-    /// run is over (finished or failed).
-    fn barrier(
-        &self,
-        sid: usize,
-        unparks: Vec<(NodeId, Time)>,
-        next: Option<Time>,
-        arrive: Arrive,
-    ) -> bool {
+    /// Arrive at the window barrier with this shard's next-event time and
+    /// profiling snapshot. (Its outbound messages stay in its world slice
+    /// until the last arriver delivers them.) Returns `true` to continue
+    /// into the next window, `false` when the run is over (finished or
+    /// failed).
+    fn barrier(&self, sid: usize, next: Option<Time>, arrive: Arrive) -> bool {
         let mut st = self.state.lock();
         if st.stop {
             return false;
-        }
-        for (node, t) in unparks {
-            st.unparks[self.owner[node.0]].push((node, t, sid));
         }
         st.next[sid] = next;
         st.arrive[sid] = arrive;
@@ -593,36 +585,9 @@ impl<W: Send + 'static> Core<W> {
             self.stop(st, Some(err));
             return false;
         }
-        // Deliver every shard's messages, then the deferred unparks: on
-        // each receiving shard, unparks queue after the window's messages.
+        // Deliver every shard's messages.
         let GState { mail, next, .. } = &mut *st;
         (self.deliver)(&mut **mail, &self.shards, next);
-        for dst in 0..self.shards.len() {
-            let mut unparks = std::mem::take(&mut st.unparks[dst]);
-            if unparks.is_empty() {
-                continue;
-            }
-            unparks.sort_by_key(|(node, t, src)| (*t, *src, node.0));
-            let inner = &mut *self.shards[dst].inner.lock();
-            let gen = Tie::unranked(inner.now);
-            for (node, t, _src) in unparks {
-                st.cross_unparks += 1;
-                // Replay the unpark as a sync event at its own timestamp
-                // rather than applying it here directly: two unparks of the
-                // same target in one window must each wake it (the target
-                // consumes the first wake before the second lands, exactly
-                // as in the serial interleaving). Direct back-to-back
-                // application would wrongly coalesce the second; see
-                // `replay_unpark` for the in-flight-wake requeue.
-                let at = t.max(inner.now);
-                inner.sched.push(
-                    at,
-                    gen,
-                    EvKind::sync_call(move |e| crate::engine::replay_unpark(e, node)),
-                );
-            }
-            st.next[dst] = inner.sched.peek_time();
-        }
 
         let m = st.next.iter().copied().flatten().min();
         match m {
@@ -634,7 +599,7 @@ impl<W: Send + 'static> Core<W> {
             Some(m) => {
                 let horizon = m.saturating_add(self.lookahead);
                 for s in &self.shards {
-                    let mut inner = s.inner.lock();
+                    let mut inner = s.lock();
                     inner.horizon = horizon;
                     inner.budget_left = self.budget - used;
                 }
@@ -666,11 +631,7 @@ impl<W: Send + 'static> Core<W> {
     /// Flush this shard's outbound traffic and arrive at the window barrier
     /// (`tripped`: its budget quota is spent). Returns the barrier's
     /// verdict: `true` to continue into the next window.
-    fn arrive(&self, sid: usize, mut inner: MutexGuard<'_, Inner<W>>, tripped: bool) -> bool {
-        let unparks = match &mut inner.shard {
-            Some(s) => std::mem::take(&mut s.remote_unparks),
-            None => Vec::new(),
-        };
+    fn arrive(&self, sid: usize, inner: MutexGuard<'_, Inner<W>>, tripped: bool) -> bool {
         let next = inner.sched.peek_time();
         let arrive = Arrive {
             now: inner.now,
@@ -680,7 +641,7 @@ impl<W: Send + 'static> Core<W> {
             heap: inner.sched.len(),
         };
         drop(inner);
-        self.barrier(sid, unparks, next, arrive)
+        self.barrier(sid, next, arrive)
     }
 
     /// One shard's event loop, entered holding the shard's lock `inner`:
@@ -697,7 +658,6 @@ impl<W: Send + 'static> Core<W> {
         me: Option<NodeId>,
         mut inner: MutexGuard<'a, Inner<W>>,
     ) -> Drive {
-        let shared = &self.shards[sid];
         loop {
             if self.stopped.load(Ordering::Acquire) {
                 return Drive::Shutdown;
@@ -714,7 +674,7 @@ impl<W: Send + 'static> Core<W> {
                 if !self.arrive(sid, inner, false) {
                     return Drive::Shutdown;
                 }
-                inner = shared.inner.lock();
+                inner = self.shards[sid].lock();
                 continue;
             };
             if ev.kind.is_sync() {
@@ -868,7 +828,6 @@ impl<W: Send + 'static> Sim<W> {
             shards_requested: 0,
             sync_events: 0,
             windows: 0,
-            cross_unparks: 0,
             profile: None,
             wall,
         })
@@ -919,35 +878,31 @@ impl<W: Send + 'static> Sim<W> {
                     );
                 }
             }
-            shards.push(Arc::new(Shared {
-                inner: Mutex::new(Inner {
-                    world,
-                    now: Time::ZERO,
-                    sched,
-                    nodes,
-                    steps: (0..num_nodes).map(|_| None).collect(),
-                    grants: 0,
-                    events: 0,
-                    sync_events: 0,
-                    budget_left: self.event_budget,
-                    // Sharded: nothing may run until the first barrier opens
-                    // the first window. One shard: no barrier, no bound.
-                    horizon: if sharded { Time::ZERO } else { Time::MAX },
-                    shard: sharded.then(|| ShardSlot {
-                        id: sid,
-                        owner: owner.clone(),
-                        remote_unparks: Vec::new(),
-                        broadcast: false,
-                        msgs: None,
-                    }),
-                    tracer: tracer.clone(),
+            shards.push(Mutex::new(Inner {
+                world,
+                now: Time::ZERO,
+                sched,
+                nodes,
+                steps: (0..num_nodes).map(|_| None).collect(),
+                grants: 0,
+                events: 0,
+                sync_events: 0,
+                budget_left: self.event_budget,
+                // Sharded: nothing may run until the first barrier opens
+                // the first window. One shard: no barrier, no bound.
+                horizon: if sharded { Time::ZERO } else { Time::MAX },
+                shard: sharded.then(|| ShardSlot {
+                    id: sid,
+                    owner: owner.clone(),
+                    broadcast: false,
+                    msgs: None,
                 }),
+                tracer: tracer.clone(),
             }));
         }
         let core = Arc::new(Core {
             shards,
             batons: (0..num_nodes).map(|_| Baton::new()).collect(),
-            owner: owner.clone(),
             lookahead,
             deliver,
             budget: self.event_budget,
@@ -968,7 +923,7 @@ impl<W: Send + 'static> Sim<W> {
                     let mut ctx = NodeCtx::new(NodeId(i), num_nodes, seed, core.clone(), sid);
                     let baton = &core.batons[i];
                     let done = || {
-                        let mut inner = core.shards[sid].inner.lock();
+                        let mut inner = core.shards[sid].lock();
                         inner.nodes[i].state = NState::Done;
                         inner
                     };
@@ -1006,7 +961,7 @@ impl<W: Send + 'static> Sim<W> {
                 let boot = std::thread::Builder::new()
                     .name(format!("sp-sim-shard-{sid}"))
                     .spawn(move || {
-                        core.drive(sid, None, core.shards[sid].inner.lock());
+                        core.drive(sid, None, core.shards[sid].lock());
                     })
                     .expect("spawn shard bootstrap thread");
                 handles.push(boot);
@@ -1014,7 +969,7 @@ impl<W: Send + 'static> Sim<W> {
         } else {
             // No barrier to bootstrap: the calling thread drives up to the
             // first wake it grants.
-            core.drive(0, None, core.shards[0].inner.lock());
+            core.drive(0, None, core.shards[0].lock());
         }
 
         // Wait for completion (clean or failed) on the run's own condvar:
@@ -1041,16 +996,7 @@ impl<W: Send + 'static> Sim<W> {
         if let Some(err) = st.failed {
             return Err(err);
         }
-        let inners: Vec<Inner<W>> = core
-            .shards
-            .into_iter()
-            .map(|s| {
-                Arc::try_unwrap(s)
-                    .unwrap_or_else(|_| panic!("node threads still hold shard state"))
-                    .inner
-                    .into_inner()
-            })
-            .collect();
+        let inners: Vec<Inner<W>> = core.shards.into_iter().map(Mutex::into_inner).collect();
         let mut end_time = Time::ZERO;
         let mut stuck: Vec<String> = Vec::new();
         let mut wakes_coalesced = 0u64;
@@ -1087,7 +1033,10 @@ impl<W: Shardable> Sim<W> {
     /// lookahead-window synchronization. One shard (after the clamp below)
     /// is exactly [`Sim::run`]; for supported workloads, larger shard
     /// counts produce the same end time, event count, and final world state
-    /// (see the module docs for the argument and its limits).
+    /// (see the module docs for the argument and its limits). Nodes on
+    /// different shards interact only through the world's messages: a node
+    /// that unparks a node of another shard fails the run as its own panic
+    /// ([`SimError::NodePanicked`]).
     ///
     /// Pre-scheduled world events ([`Sim::schedule_call_at`]) are broadcast:
     /// every shard pre-loads a replica and executes it against its own world
@@ -1171,7 +1120,6 @@ impl<W: Shardable> Sim<W> {
             shards_requested: requested_shards,
             sync_events,
             windows: st.windows,
-            cross_unparks: st.cross_unparks,
             profile: Some(profile),
             wall,
         })
@@ -1185,7 +1133,8 @@ mod tests {
     use crate::{Dur, Sim, WakeReason};
 
     /// Serial/parallel twin runs of an N-pair ping-pong storm (pure engine
-    /// workload on the unit world: park/unpark within each pair).
+    /// workload on the unit world: park/unpark within each pair). A pair
+    /// must sit on one shard (`owner[i] = i * shards / (2 * pairs)`).
     fn pingpong(pairs: usize, rounds: usize, shards: usize) -> (Time, u64) {
         let mut sim = Sim::new((), 7);
         for p in 0..pairs {
@@ -1225,7 +1174,86 @@ mod tests {
     #[test]
     fn parallel_shard_count_clamps_to_node_count() {
         // More shards than nodes degrades gracefully (clamped, not panic).
-        assert_eq!(pingpong(2, 10, 16), pingpong(2, 10, 1));
+        // Every node then sits on a shard of its own, so the nodes only
+        // advance: on the unit world, shards cannot interact at all.
+        let run = |shards| {
+            let mut sim = Sim::new((), 7);
+            for i in 0..4u64 {
+                sim.spawn(format!("n{i}"), move |ctx| {
+                    for _ in 0..10 {
+                        ctx.advance(Dur::ns(10 + i));
+                    }
+                });
+            }
+            sim.run_parallel(shards).unwrap()
+        };
+        let (serial, clamped) = (run(1), run(16));
+        assert_eq!(clamped.shards.len(), 4);
+        assert_eq!(clamped.shards_requested, 16);
+        assert_eq!(
+            (clamped.end_time, clamped.events),
+            (serial.end_time, serial.events)
+        );
+    }
+
+    /// A node that unparks a node of another shard fails the run by name:
+    /// an unpark carries no lookahead, so shards meet only through world
+    /// messages.
+    #[test]
+    fn cross_shard_unpark_fails_the_run() {
+        let mut sim = Sim::new((), 0);
+        sim.spawn("sleeper", |ctx| {
+            ctx.park();
+        });
+        sim.spawn("waker", |ctx| {
+            ctx.advance(Dur::ns(100));
+            ctx.unpark(NodeId(0));
+        });
+        match within_deadline("cross-shard unpark", move || sim.run_parallel(2)) {
+            Err(SimError::NodePanicked { node, message }) => {
+                assert_eq!(node, "waker");
+                assert!(message.contains("cross-shard unpark of n0"), "{message}");
+            }
+            other => panic!("expected node panic, got {other:?}"),
+        }
+    }
+
+    /// `(end, events, wakes coalesced, wake instants)` of a node on shard 1
+    /// (of 2) that parks twice, unparked by two [`Sim::schedule_call_at`]
+    /// closures while a node on shard 0 runs past both.
+    fn broadcast_unpark_run(shards: usize) -> (Time, u64, u64, Vec<Time>) {
+        let wakes = Arc::new(Mutex::new(Vec::new()));
+        let mut sim = Sim::new((), 0);
+        sim.spawn("busy", |ctx| {
+            for _ in 0..10 {
+                ctx.advance(Dur::ns(100));
+            }
+        });
+        let w = wakes.clone();
+        sim.spawn("sleeper", move |ctx| {
+            for _ in 0..2 {
+                assert_eq!(ctx.park(), WakeReason::Unparked);
+                w.lock().push(ctx.now());
+            }
+        });
+        for at in [250, 600] {
+            sim.schedule_call_at(Time(at), |e| e.unpark(NodeId(1)));
+        }
+        let r = sim.run_parallel(shards).unwrap();
+        let wakes = wakes.lock().clone();
+        (r.end_time, r.events, r.wakes_coalesced, wakes)
+    }
+
+    /// A broadcast world event may unpark a node of any shard: only the
+    /// owner's replica delivers it, so the node wakes once per call, at the
+    /// call's instant, exactly as on one shard.
+    #[test]
+    fn broadcast_unpark_wakes_an_other_shard_node_once() {
+        let serial = broadcast_unpark_run(1);
+        assert_eq!(serial.2, 0, "no unpark coalesced");
+        assert_eq!(serial.3, vec![Time(250), Time(600)]);
+        let sharded = within_deadline("broadcast unpark", || broadcast_unpark_run(2));
+        assert_eq!(sharded, serial);
     }
 
     #[test]
@@ -1251,7 +1279,6 @@ mod tests {
         assert_eq!(r.shards.iter().map(|s| s.events).sum::<u64>(), r.events);
         // Unit world: no cross-shard traffic, single unbounded window.
         assert_eq!(r.sync_events, 0);
-        assert_eq!(r.cross_unparks, 0);
     }
 
     #[test]
@@ -1327,18 +1354,15 @@ mod tests {
         }
         /// Post an increment to `dst`, landing `MAIL_LAT` ns from `now`.
         /// Serial: the landing is one counted Hot event at `ts`. Parallel:
-        /// a sync-counted relay (local `SyncHot` or inter-shard message)
-        /// carries the hand-off to `ts`, then re-schedules the same counted
-        /// landing event — so `events` stays identical to serial and only
-        /// `sync_events` grows.
+        /// a message, through the outbox even to this shard, carries the
+        /// hand-off to `ts`, and its sync event re-schedules the same
+        /// counted landing event — so `events` stays identical to serial
+        /// and only `sync_events` grows.
         fn post(e: &mut EventCtx<'_, Mailboxes>, dst: u64, _b: u64) {
             let dst = dst as usize;
             let ts = e.now() + Dur::ns(MAIL_LAT);
             match e.world().shard.clone() {
                 None => e.schedule_hot_at(ts, Mailboxes::land, dst as u64, 0),
-                Some((sid, owner)) if owner[dst] == sid => {
-                    e.schedule_sync_hot_at(ts, Mailboxes::relay, dst as u64, 0)
-                }
                 Some((_, owner)) => {
                     let dst_shard = owner[dst];
                     let tie = Tie::unranked(e.now());
@@ -1442,9 +1466,6 @@ mod tests {
             let tie = Tie::unranked(e.now());
             match e.world().shard.clone() {
                 None => e.schedule_hot_at(ts, OrderLog::land, marker, 0),
-                Some((sid, owner)) if owner[0] == sid => {
-                    e.schedule_sync_hot_at(ts, OrderLog::land, marker, 0)
-                }
                 Some((_, owner)) => {
                     let dst_shard = owner[0];
                     e.world().outbox.push(ShardMsg {

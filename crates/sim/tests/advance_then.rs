@@ -79,9 +79,6 @@ impl Toy {
         let ts = e.now() + Dur::ns(LAT);
         match e.world().shard.clone() {
             None => e.schedule_hot_at(ts, Toy::land, dst, value),
-            Some((sid, owner)) if owner[dst as usize] == sid => {
-                e.schedule_sync_hot_at(ts, Toy::relay, dst, value)
-            }
             Some((_, owner)) => {
                 let tie = Tie {
                     gen: e.now(),
